@@ -8,25 +8,21 @@ the overall mean) and that loss is her advantage:
 
     advantage = var(Y) - E[var(Y | bin)] = var(E[Y | bin]).
 
-``achievable_distortion`` computes her loss by raw enumeration of every
-(value, key) pair and is the module's ground truth; ``delta_closed_form``
-computes the advantage from bin tallies and must agree with it, which the
-test suite checks on both the exact and the float path.
+Every function here reads one set of per-bin moments, built by a single pass
+over the code's assignment table: the probability mass of each bin and the
+first and second moments of the payoff centred on its overall mean.  Centring
+keeps the float path from cancelling large offsets against each other; on the
+exact path it changes nothing.  The test suite checks the moments against an
+independent enumeration of every (value, key) pair in exact arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .model import (
-    BinStatistics,
-    KeyedCode,
-    Scalar,
-    SourceAlphabet,
-    arithmetic_view,
-    bin_statistics,
-)
+from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, is_exact
 
 
 def _mean_and_var(values, pmf) -> tuple[Scalar, Scalar]:
@@ -40,6 +36,104 @@ def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     tells her nothing and she falls back to guessing the overall mean."""
     values, pmf = arithmetic_view(alphabet)
     return _mean_and_var(values, pmf)[1]
+
+
+@dataclass(frozen=True)
+class _BinMoments:
+    """Per-bin moments of a payoff t(X) under a uniformly random key.
+
+    ``mean`` is E[t(X)]; for bin j, ``m0[j]`` is p(bin j), and ``s1[j]`` and
+    ``s2[j]`` are E[(t(X) - mean) 1{bin j}] and E[(t(X) - mean)^2 1{bin j}].
+    All are exact Fractions when the alphabet and the payoff are exact, and
+    floats otherwise.
+    """
+
+    exact: bool
+    mean: Scalar
+    m0: tuple[Scalar, ...]
+    s1: tuple[Scalar, ...]
+    s2: tuple[Scalar, ...]
+
+    def support(self) -> list[int]:
+        return [j for j, w in enumerate(self.m0) if w > 0]
+
+    def advantage(self) -> Scalar:
+        """var(E[t | bin]) = sum_j s1_j^2 / m0_j."""
+        return sum(self.s1[j] * self.s1[j] / self.m0[j] for j in self.support())
+
+    def loss(self) -> Scalar:
+        """E[var(t | bin)] = sum_j (s2_j - s1_j^2 / m0_j)."""
+        return sum(
+            self.s2[j] - self.s1[j] * self.s1[j] / self.m0[j] for j in self.support()
+        )
+
+    def posterior_means(self) -> tuple[Scalar | None, ...]:
+        return tuple(
+            self.mean + s / w if w > 0 else None for w, s in zip(self.m0, self.s1)
+        )
+
+    def secure(self, tol: float) -> bool:
+        """Every observable bin's posterior mean equals the overall mean:
+        exactly on the exact path, within ``tol`` scaled by max(1, |mean|)
+        on floats."""
+        if self.exact:
+            return all(self.s1[j] == 0 for j in self.support())
+        limit = tol * max(1.0, abs(self.mean))
+        return all(abs(self.s1[j] / self.m0[j]) <= limit for j in self.support())
+
+
+def _over_common_denominator(xs: list[Fraction]) -> tuple[list[int], int]:
+    d = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinMoments:
+    """One pass over the assignment table, O(m 2**k).
+
+    ``table[i]`` is the payoff of value index i; None means the value itself.
+    Each (value, key) pair adds the value's weight p_i / 2**k and its centred
+    first and second moments to the bin it lands in.  On the exact path the
+    three per-value terms are put over common denominators first, so the pass
+    adds integers and divides once per bin at the end.
+    """
+    if alphabet.m != code.m:
+        raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
+    values, pmf = arithmetic_view(alphabet)
+    if table is None:
+        table = values
+    elif len(table) != code.m:
+        raise ValueError(f"table has {len(table)} entries for {code.m} values")
+    exact = alphabet.exact and all(is_exact(t) for t in table)
+    if exact:
+        table = [Fraction(t) for t in table]
+    else:
+        pmf = [float(p) for p in pmf]
+        table = [float(t) for t in table]
+    mean = sum(p * t for p, t in zip(pmf, table))
+    weight = [p / code.key_count for p in pmf]
+    centred = [t - mean for t in table]
+    terms = (
+        weight,
+        [w * c for w, c in zip(weight, centred)],
+        [w * c * c for w, c in zip(weight, centred)],
+    )
+    if exact:
+        scaled = [_over_common_denominator(t) for t in terms]
+    else:
+        scaled = [(t, 1) for t in terms]
+    (a0, d0), (a1, d1), (a2, d2) = scaled
+    r = code.r
+    m0, s1, s2 = [0] * r, [0] * r, [0] * r
+    for row in code.assignment:
+        for v, b in enumerate(row):
+            m0[b] += a0[v]
+            s1[b] += a1[v]
+            s2[b] += a2[v]
+    if exact:
+        m0 = [Fraction(x, d0) for x in m0]
+        s1 = [Fraction(x, d1) for x in s1]
+        s2 = [Fraction(x, d2) for x in s2]
+    return _BinMoments(exact, mean, tuple(m0), tuple(s1), tuple(s2))
 
 
 @dataclass(frozen=True)
@@ -59,107 +153,35 @@ class EvePosterior:
 def eve_posterior(code: KeyedCode, alphabet: SourceAlphabet) -> EvePosterior:
     """Posterior over bins: p(bin j) and E[Y | bin j].
 
-    With occupancy n[i][j] keys sending value i to bin j,
-    p(bin j) = sum_i p_i n_ij / 2**k and the posterior mean reweights the
-    values accordingly.  Exact alphabets yield exact Fractions.
+    Exact alphabets yield exact Fractions.
     """
-    values, pmf = arithmetic_view(alphabet)
-    stats = bin_statistics(code, alphabet)
-    keys = code.key_count
-    probs, means = [], []
-    for j in range(code.r):
-        pj = sum(pmf[i] * stats.occupancy[i][j] for i in range(code.m)) / keys
-        probs.append(pj)
-        if pj > 0:
-            num = sum(
-                values[i] * pmf[i] * stats.occupancy[i][j] for i in range(code.m)
-            )
-            means.append(num / keys / pj)
-        else:
-            means.append(None)
-    support = tuple(j for j in range(code.r) if probs[j] > 0)
-    return EvePosterior(tau_prob=tuple(probs), tau_mean=tuple(means), support=support)
-
-
-def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
-    """The eavesdropper's minimum expected squared error, by brute force.
-
-    Walks every (value, key) pair, accumulates zeroth, first and second
-    moments per bin, and sums the per-bin variances.  No structure of the
-    code is assumed anywhere; this is the oracle the closed forms are
-    checked against.
-    """
-    if alphabet.m != code.m:
-        raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
-    values, pmf = arithmetic_view(alphabet)
-    keys = code.key_count
-    m0 = [0] * code.r
-    m1 = [0] * code.r
-    m2 = [0] * code.r
-    for v in range(code.m):
-        w = pmf[v] / keys
-        if w == 0:
-            continue
-        y = values[v]
-        for key in range(keys):
-            b = code.assignment[key][v]
-            m0[b] += w
-            m1[b] += w * y
-            m2[b] += w * y * y
-    return sum(
-        m2[j] - m1[j] * m1[j] / m0[j] for j in range(code.r) if m0[j] > 0
+    mom = _bin_moments(code, alphabet)
+    return EvePosterior(
+        tau_prob=mom.m0,
+        tau_mean=mom.posterior_means(),
+        support=tuple(mom.support()),
     )
 
 
-def delta_closed_form(
-    code: KeyedCode, alphabet: SourceAlphabet, method: str = "auto"
-) -> Scalar:
-    """The eavesdropper's advantage from bin tallies.
+def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
+    """The eavesdropper's minimum expected squared error: the sum over
+    observable bins of the payoff's centred within-bin spread,
+    sum_j (s2_j - s1_j^2 / m0_j)."""
+    return _bin_moments(code, alphabet).loss()
 
-    method "general" works for any pmf:
 
-        advantage = sum_j (sum_i y_i p_i n_ij / 2**k)^2 / p(bin j) - E[Y]^2
+def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
+    """The eavesdropper's advantage, var(E[Y | bin]).
 
-    summed over observable bins.  method "uniform" is the fast path for
-    uniform alphabets,
+    With s1_j the centred first moment of bin j and m0_j its probability,
 
-        advantage = (1 / (2**k m)) sum_j S_j^2 / N_j - E[Y]^2,
+        advantage = sum_j s1_j^2 / m0_j
 
-    with S_j, N_j the bin value-sums and element counts; invoking it on a
-    non-uniform alphabet raises ValueError.  "auto" picks the fast path
-    exactly when the pmf is uniform.  Both agree with
-    ``max_distortion - achievable_distortion`` identically.
+    over observable bins.  The values are centred on E[Y] before they are
+    summed, so no E[Y]^2 term is subtracted and the float result is never
+    negative.  Equals ``max_distortion - achievable_distortion`` identically.
     """
-    if method not in ("auto", "general", "uniform"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto":
-        method = "uniform" if alphabet.is_uniform() else "general"
-    values, pmf = arithmetic_view(alphabet)
-    mean = sum(p * y for p, y in zip(pmf, values))
-    keys = code.key_count
-    if method == "uniform":
-        if not alphabet.is_uniform():
-            raise ValueError("uniform fast path requires a uniform alphabet")
-        stats = bin_statistics(code, alphabet)
-        acc = 0
-        for j in range(code.r):
-            if stats.counts[j]:
-                s = stats.sums[j]
-                if alphabet.exact and isinstance(s, int):
-                    s = Fraction(s)
-                acc += s * s / stats.counts[j]
-        return acc / (keys * code.m) - mean * mean
-    stats = bin_statistics(code, alphabet)
-    acc = 0
-    for j in range(code.r):
-        pj = sum(pmf[i] * stats.occupancy[i][j] for i in range(code.m)) / keys
-        if pj > 0:
-            num = (
-                sum(values[i] * pmf[i] * stats.occupancy[i][j] for i in range(code.m))
-                / keys
-            )
-            acc += num * num / pj
-    return acc - mean * mean
+    return _bin_moments(code, alphabet).advantage()
 
 
 def table_posterior_means(
@@ -172,25 +194,8 @@ def table_posterior_means(
     the secured quantity is a function of the symbol, not the symbol itself).
     Returns (E[t(X)], per-bin E[t(X) | bin j]) with None off the support.
     """
-    if len(table) != code.m:
-        raise ValueError(f"table has {len(table)} entries for {code.m} values")
-    _, pmf = arithmetic_view(alphabet)
-    if alphabet.exact:
-        table = [Fraction(t) if isinstance(t, int) else t for t in table]
-    stats = bin_statistics(code, alphabet)
-    keys = code.key_count
-    overall = sum(p * t for p, t in zip(pmf, table))
-    means: list[Scalar | None] = []
-    for j in range(code.r):
-        pj = sum(pmf[i] * stats.occupancy[i][j] for i in range(code.m)) / keys
-        if pj > 0:
-            num = sum(
-                table[i] * pmf[i] * stats.occupancy[i][j] for i in range(code.m)
-            )
-            means.append(num / keys / pj)
-        else:
-            means.append(None)
-    return overall, tuple(means)
+    mom = _bin_moments(code, alphabet, table)
+    return mom.mean, mom.posterior_means()
 
 
 def is_perfectly_secure(
@@ -202,13 +207,7 @@ def is_perfectly_secure(
     her no-observation guess, i.e. advantage zero.  Exact alphabets are
     compared exactly; float alphabets within ``tol`` scaled by max(1, |E[Y]|).
     """
-    values, pmf = arithmetic_view(alphabet)
-    mean = sum(p * y for p, y in zip(pmf, values))
-    post = eve_posterior(code, alphabet)
-    if alphabet.exact:
-        return all(post.tau_mean[j] == mean for j in post.support)
-    limit = tol * max(1.0, abs(mean))
-    return all(abs(post.tau_mean[j] - mean) <= limit for j in post.support)
+    return _bin_moments(code, alphabet).secure(tol)
 
 
 @dataclass(frozen=True)
@@ -239,9 +238,9 @@ def bound_report(
     own scale (d_max and spread^2) so the float path does not flag rounding
     noise; on the exact path the slack is carried as an exact Fraction.
     """
+    mom = _bin_moments(code, alphabet)
     d_max = max_distortion(alphabet)
-    delta = delta_closed_form(code, alphabet)
-    d_ach = d_max - delta
+    delta = mom.advantage()
     spread = alphabet.spread
     if alphabet.is_uniform():
         slack = Fraction(tol) if alphabet.exact else tol
@@ -253,10 +252,10 @@ def bound_report(
         bound2_ok = None
     return DistortionReport(
         d_max=d_max,
-        d_ach=d_ach,
+        d_ach=d_max - delta,
         delta=delta,
         spread=spread,
         bound1_ok=bound1_ok,
         bound2_ok=bound2_ok,
-        perfectly_secure=is_perfectly_secure(code, alphabet, tol=tol),
+        perfectly_secure=mom.secure(tol),
     )

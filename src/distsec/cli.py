@@ -135,12 +135,12 @@ def _load_alphabet(args) -> SourceAlphabet:
     try:
         if text.startswith("@"):
             doc = _read_json(text[1:], args.exact)
-            if not isinstance(doc, dict) or "values" not in doc:
-                raise CliError(3, f"{text[1:]}: expected an object with a 'values' list")
-            values = [scalar_from_json(v) for v in doc["values"]]
-            if pmf is None and doc.get("pmf") is not None:
-                pmf = [scalar_from_json(p) for p in doc["pmf"]]
-            return make_alphabet(values, pmf)
+            if pmf is not None and isinstance(doc, dict):
+                doc = dict(doc, pmf=pmf)  # the flag overrides the file's pmf
+            try:
+                return alphabet_from_dict(doc)
+            except ValueError as e:
+                raise CliError(3, f"{text[1:]}: {e}") from e
         if ".." in text and "," not in text:
             lo, _, hi = text.partition("..")
             values = list(range(int(lo), int(hi) + 1))
@@ -292,12 +292,22 @@ def _cmd_search(args) -> int:
     return 0
 
 
+def _is_list_of(x, depth: int) -> bool:
+    """True when ``x`` is a list nested ``depth`` levels deep."""
+    if not isinstance(x, list):
+        return False
+    return depth == 1 or all(_is_list_of(item, depth - 1) for item in x)
+
+
 def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
     if not isinstance(doc, dict) or doc.get("version") != 1:
         raise CliError(3, "system config must be a JSON object with version: 1")
     for field in ("sources", "codes", "function"):
         if field not in doc:
             raise CliError(3, f"system config missing field {field!r}")
+    for field in ("sources", "codes"):
+        if not isinstance(doc[field], list):
+            raise CliError(3, f"system config field {field!r} must be a list")
     try:
         sources = tuple(alphabet_from_dict(d) for d in doc["sources"])
         codes = []
@@ -309,12 +319,16 @@ def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
             else:
                 codes.append(code_from_dict(entry))
                 continue
+            if not isinstance(path, str):
+                raise CliError(3, f"code path must be a string, got {path!r}")
             if not os.path.isabs(path):
                 path = os.path.join(base_dir, path)
             codes.append(_load_code(path, exact))
         fn = doc["function"]
         if not isinstance(fn, dict) or "components" not in fn:
             raise CliError(3, "function must be an object with components")
+        if not _is_list_of(fn["components"], 3):
+            raise CliError(3, "components must be a list of terms, each a list of tables")
         components = tuple(
             tuple(tuple(scalar_from_json(t) for t in table) for table in term)
             for term in fn["components"]

@@ -115,7 +115,8 @@ def make_alphabet(values, pmf=None) -> SourceAlphabet:
 
     Raises:
         ValueError: empty values, length mismatch, pmf entry outside [0, 1],
-            or pmf sum differing from 1 by more than 1e-12.
+            an exact (int/Fraction) pmf whose sum is not exactly 1, or a pmf
+            with a float entry whose sum differs from 1 by more than 1e-12.
     """
     vals = [_coerce_scalar(v, "value") for v in values]
     if not vals:
@@ -131,7 +132,9 @@ def make_alphabet(values, pmf=None) -> SourceAlphabet:
             if p < 0 or p > 1:
                 raise ValueError(f"pmf entry {p} outside [0, 1]")
         total = sum(probs)
-        if abs(total - 1) > Fraction(1, 10**12):
+        # An exact pmf must be exact: any slack would break equality claims.
+        slack = 0 if all(is_exact(p) for p in probs) else Fraction(1, 10**12)
+        if abs(total - 1) > slack:
             raise ValueError(f"pmf sums to {total}, expected 1")
     order = sorted(range(m), key=lambda i: vals[i], reverse=True)
     return SourceAlphabet(
@@ -222,14 +225,12 @@ class BinStatistics:
 
     ``occupancy[i][j]`` counts the keys sending value i to bin j; ``counts[j]``
     and ``sums[j]`` are the element count and value sum of bin j including
-    multiplicity.  ``partial_sums`` is only populated mid-construction by the
-    greedy encoder (the accumulated bin sums after a prefix of the keys).
+    multiplicity.
     """
 
     counts: tuple[int, ...]
     sums: tuple[Scalar, ...]
     occupancy: tuple[tuple[int, ...], ...]
-    partial_sums: tuple[Scalar, ...] | None = None
 
 
 def bin_statistics(code: KeyedCode, alphabet: SourceAlphabet) -> BinStatistics:
@@ -276,7 +277,16 @@ def scalar_from_json(x) -> Scalar:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad rational literal {x!r}") from e
+    if not isinstance(x, numbers.Real):
+        raise ValueError(f"expected a number, got {x!r}")
     return _coerce_scalar(x, "value")
+
+
+def _json_int(x, what: str) -> int:
+    # bool is an int subclass but never a size or an index in a document.
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return x
 
 
 def code_to_dict(code: KeyedCode) -> dict:
@@ -300,10 +310,12 @@ def code_from_dict(doc: dict) -> KeyedCode:
     ):
         raise ValueError("assignment must be a list of per-key rows")
     return KeyedCode(
-        m=int(doc["m"]),
-        k=int(doc["k"]),
-        r=int(doc["r"]),
-        assignment=tuple(tuple(int(b) for b in row) for row in assignment),
+        m=_json_int(doc["m"], "m"),
+        k=_json_int(doc["k"], "k"),
+        r=_json_int(doc["r"], "r"),
+        assignment=tuple(
+            tuple(_json_int(b, "bin index") for b in row) for row in assignment
+        ),
     )
 
 

@@ -20,7 +20,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .analysis import DistortionReport, eve_posterior, table_posterior_means
+from .analysis import (
+    DistortionReport,
+    _BinMoments,
+    _bin_moments,
+    eve_posterior,
+    table_posterior_means,
+)
 from .model import (
     CapExceededError,
     KeyedCode,
@@ -177,18 +183,19 @@ def _lift_table(table, exact: bool):
 
 
 def observation_moments(system: JointSystem, max_states: int = 1_000_000):
-    """Raw per-observation moments of f over the full product space.
+    """Per-observation moments of f over the full product space.
 
     Walks every (joint value, key tuple) pair and tallies, for each
     observation tuple g, the probability mass and the first two moments of
-    f restricted to it, plus the overall moments and range of f.  This is
-    the one place product-space enumeration happens; the distortion report
-    and the simulator's conditional-mean table both read from it.  Raises
-    CapExceededError when the state space exceeds ``max_states``.
+    f - E[f] restricted to it.  Centring on E[f] first keeps the float path
+    from cancelling large offsets.  This is the one place product-space
+    enumeration happens; the distortion report and the simulator's
+    conditional-mean table both read from it.  Raises CapExceededError when
+    the state space exceeds ``max_states``.
 
     Returns:
-        (m0, m1, m2, e1, e2, fmin, fmax) with the first three dicts keyed
-        by observation tuple.
+        (observations, moments, spread): the observable tuples in first-seen
+        order, their moments in the same order, and max f - min f.
     """
     states = system.state_count()
     if states > max_states:
@@ -204,12 +211,11 @@ def observation_moments(system: JointSystem, max_states: int = 1_000_000):
     key_weight = Fraction(1) if exact else 1.0
     for code in system.codes:
         key_weight = key_weight / code.key_count
+    f_mean = _function_mean(system)
 
     m0: dict = {}
-    m1: dict = {}
-    m2: dict = {}
-    e1 = 0
-    e2 = 0
+    s1: dict = {}
+    s2: dict = {}
     fmin = fmax = None
     for xs in product(*(range(a.m) for a in system.sources)):
         px = 1
@@ -219,9 +225,7 @@ def observation_moments(system: JointSystem, max_states: int = 1_000_000):
             continue
         f = sum(
             _prod(term[i][x] for i, x in enumerate(xs)) for term in tables
-        )
-        e1 += px * f
-        e2 += px * f * f
+        ) - f_mean
         if fmin is None or f < fmin:
             fmin = f
         if fmax is None or f > fmax:
@@ -233,9 +237,17 @@ def observation_moments(system: JointSystem, max_states: int = 1_000_000):
         ]
         for g in product(*per_source_bins):
             m0[g] = m0.get(g, 0) + w
-            m1[g] = m1.get(g, 0) + w * f
-            m2[g] = m2.get(g, 0) + w * f * f
-    return m0, m1, m2, e1, e2, fmin, fmax
+            s1[g] = s1.get(g, 0) + w * f
+            s2[g] = s2.get(g, 0) + w * f * f
+    observations = list(m0)
+    moments = _BinMoments(
+        exact,
+        f_mean,
+        tuple(m0.values()),
+        tuple(s1[g] for g in observations),
+        tuple(s2[g] for g in observations),
+    )
+    return observations, moments, fmax - fmin
 
 
 def joint_distortion(
@@ -249,22 +261,17 @@ def joint_distortion(
     None.  Raises CapExceededError when the product state space exceeds
     ``max_states``.
     """
-    m0, m1, m2, e1, e2, fmin, fmax = observation_moments(system, max_states)
-    d_max = e2 - e1 * e1
-    d_ach = sum(m2[g] - m1[g] * m1[g] / m0[g] for g in m0)
-    if system.exact:
-        secure = all(m1[g] / m0[g] == e1 for g in m0)
-    else:
-        limit = tol * max(1.0, abs(e1))
-        secure = all(abs(m1[g] / m0[g] - e1) <= limit for g in m0)
+    _, moments, spread = observation_moments(system, max_states)
+    d_max = sum(moments.s2)
+    delta = moments.advantage()
     return DistortionReport(
         d_max=d_max,
-        d_ach=d_ach,
-        delta=d_max - d_ach,
-        spread=fmax - fmin,
+        d_ach=d_max - delta,
+        delta=delta,
+        spread=spread,
         bound1_ok=None,
         bound2_ok=None,
-        perfectly_secure=secure,
+        perfectly_secure=moments.secure(tol),
     )
 
 
@@ -320,13 +327,7 @@ def joint_delta_factorized(system: JointSystem) -> Scalar:
 def _component_secure(
     code: KeyedCode, alphabet: SourceAlphabet, table, tol: float
 ) -> bool:
-    exact = alphabet.exact and all(is_exact(t) for t in table)
-    overall, means = table_posterior_means(code, alphabet, _lift_table(table, exact))
-    present = [mu for mu in means if mu is not None]
-    if exact:
-        return all(mu == overall for mu in present)
-    limit = tol * max(1.0, abs(overall))
-    return all(abs(mu - overall) <= limit for mu in present)
+    return _bin_moments(code, alphabet, table).secure(tol)
 
 
 def check_sufficiency(system: JointSystem, tol: float = 1e-9) -> bool:

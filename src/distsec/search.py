@@ -144,8 +144,12 @@ def brute_force_optimal(
         raise ValueError(f"empty bin-count range {r_range} for m={m}")
     r_lo = max(r_lo, m)
 
+    # Ranked on values centred on their mean: for a complete binning the bin
+    # counts and sums total m 2**k and 0, so sum_j S_j^2 / n_j over centred
+    # sums is the advantage times m 2**k, with no mean^2 to cancel on floats.
     values, _ = arithmetic_view(alphabet)
     mean = sum(values) / m
+    values = [v - mean for v in values]
     total = m * cap
 
     remaining = [cap] * m
@@ -220,7 +224,7 @@ def brute_force_optimal(
     extend([], total, Fraction(0) if alphabet.exact else 0.0, 0)
     if state["best_code"] is None:
         raise ValueError(f"no decodable code exists within bin-count range {r_range}")
-    best_delta = state["best_q"] / (cap * m) - mean * mean
+    best_delta = state["best_q"] / (cap * m)
     return SearchResult(
         best_code=state["best_code"],
         best_delta=best_delta,

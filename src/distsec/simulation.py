@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import achievable_distortion, eve_posterior
+from .analysis import _bin_moments
 from .model import KeyedCode, Scalar, SourceAlphabet
 from .multisource import JointSystem, observation_moments
 
@@ -69,10 +69,10 @@ def simulate(config: SimConfig, max_states: int = 1_000_000) -> SimReport:
     if isinstance(config.target, JointSystem):
         return _simulate_joint(config, max_states)
     code, alphabet = config.target
-    analytic = achievable_distortion(code, alphabet)
-    post = eve_posterior(code, alphabet)
+    moments = _bin_moments(code, alphabet)
+    analytic = moments.loss()
     estimate = np.array(
-        [float(mu) if mu is not None else np.nan for mu in post.tau_mean]
+        [float(mu) if mu is not None else np.nan for mu in moments.posterior_means()]
     )
     values = np.array([float(v) for v in alphabet.values])
     pmf = np.array([float(p) for p in alphabet.pmf])
@@ -93,8 +93,8 @@ def simulate(config: SimConfig, max_states: int = 1_000_000) -> SimReport:
 
 def _simulate_joint(config: SimConfig, max_states: int) -> SimReport:
     system = config.target
-    m0, m1, m2, e1, e2, _, _ = observation_moments(system, max_states)
-    analytic = sum(m2[g] - m1[g] * m1[g] / m0[g] for g in m0)
+    observations, moments, _ = observation_moments(system, max_states)
+    analytic = moments.loss()
 
     # Flat-index the observation tuples so estimates vectorize.
     strides = []
@@ -104,9 +104,8 @@ def _simulate_joint(config: SimConfig, max_states: int) -> SimReport:
         stride *= code.r
     strides = list(reversed(strides))
     estimate = np.full(stride, np.nan)
-    for g in m0:
-        flat = sum(b * s for b, s in zip(g, strides))
-        estimate[flat] = float(m1[g] / m0[g])
+    for g, mu in zip(observations, moments.posterior_means()):
+        estimate[sum(b * s for b, s in zip(g, strides))] = float(mu)
 
     pmfs = [np.array([float(p) for p in a.pmf]) for a in system.sources]
     pmfs = [p / p.sum() for p in pmfs]

@@ -1,4 +1,4 @@
-"""Shared generators for randomized tests.
+"""Shared generators and the exact reference for randomized tests.
 
 Randomness in tests is always seeded; hypothesis strategies live in the test
 modules that use them.
@@ -6,6 +6,7 @@ modules that use them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -53,3 +54,57 @@ def binning_of(code: KeyedCode, alphabet: SourceAlphabet) -> Binning:
         if content:
             bins.append(tuple(content))
     return Binning(m=code.m, bins=tuple(bins))
+
+
+@dataclass(frozen=True)
+class Oracle:
+    """One code's distortion picture, in exact arithmetic.
+
+    ``prob[j]`` is p(bin j) and ``means[j]`` is E[t(X) | bin j], None off the
+    support; ``mean`` is E[t(X)].
+    """
+
+    mean: Fraction
+    d_max: Fraction
+    d_ach: Fraction
+    delta: Fraction
+    prob: tuple[Fraction, ...]
+    means: tuple[Fraction | None, ...]
+    secure: bool
+
+
+def exact_oracle(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> Oracle:
+    """Enumerate every (value, key) pair in Fractions, sharing no code with
+    the package's moment pass.
+
+    Raw (uncentred) per-bin moments are exact here, so the textbook
+    formulas apply as written.  Float values and pmf entries are converted
+    with ``Fraction(x)``, so a float alphabet is judged on the numbers it
+    actually holds; its pmf must then still sum to exactly 1.
+    """
+    payoff = [Fraction(t) for t in (alphabet.values if table is None else table)]
+    pmf = [Fraction(p) for p in alphabet.pmf]
+    assert sum(pmf) == 1
+    keys = 2**code.k
+    m0 = [Fraction(0)] * code.r
+    m1 = [Fraction(0)] * code.r
+    m2 = [Fraction(0)] * code.r
+    for v in range(code.m):
+        for key in range(keys):
+            b = code.assignment[key][v]
+            w = pmf[v] / keys
+            m0[b] += w
+            m1[b] += w * payoff[v]
+            m2[b] += w * payoff[v] ** 2
+    mean = sum(p * t for p, t in zip(pmf, payoff))
+    support = [j for j in range(code.r) if m0[j] > 0]
+    means = tuple(m1[j] / m0[j] if m0[j] > 0 else None for j in range(code.r))
+    return Oracle(
+        mean=mean,
+        d_max=sum(p * t * t for p, t in zip(pmf, payoff)) - mean**2,
+        d_ach=sum(m2[j] - m1[j] ** 2 / m0[j] for j in support),
+        delta=sum(m1[j] ** 2 / m0[j] for j in support) - mean**2,
+        prob=tuple(m0),
+        means=means,
+        secure=all(means[j] == mean for j in support),
+    )

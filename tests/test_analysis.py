@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import binning_of, random_code, random_exact_alphabet, random_float_alphabet
+from conftest import (
+    binning_of,
+    exact_oracle,
+    random_code,
+    random_exact_alphabet,
+    random_float_alphabet,
+)
 from distsec import (
     KeyedCode,
     achievable_distortion,
@@ -65,17 +71,6 @@ def test_irregular_anchor_numbers():
     assert post.tau_mean == (5, Fraction(7, 2), Fraction(7, 2), 5)
 
 
-def test_method_selection():
-    code = greedy_code(QUAD, 1)
-    assert delta_closed_form(code, QUAD, method="uniform") == 0
-    assert delta_closed_form(code, QUAD, method="general") == 0
-    with pytest.raises(ValueError):
-        delta_closed_form(code, QUAD, method="fast")
-    skewed = make_alphabet([1, 2], [Fraction(2, 3), Fraction(1, 3)])
-    with pytest.raises(ValueError):
-        delta_closed_form(identity_code(2), skewed, method="uniform")
-
-
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_total_variance_splits_into_advantage_plus_loss(data):
@@ -87,21 +82,38 @@ def test_total_variance_splits_into_advantage_plus_loss(data):
     rng = np.random.default_rng(seed)
     code = random_code(rng, m, k, r)
     a = random_exact_alphabet(rng, m, nonuniform=nonuniform)
+    want = exact_oracle(code, a)
+    assert want.d_max == want.delta + want.d_ach
+    assert max_distortion(a) == want.d_max
     assert max_distortion(a) == delta_closed_form(code, a) + achievable_distortion(code, a)
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_uniform_fast_path_matches_general(data):
+@settings(max_examples=60, deadline=None)
+def test_moment_kernel_matches_oracle(data):
     m = data.draw(st.integers(1, 8))
     k = data.draw(st.integers(0, 2))
     seed = data.draw(st.integers(0, 2**32 - 1))
+    nonuniform = data.draw(st.booleans())
+    greedy = data.draw(st.booleans())  # greedy codes are often perfectly secure
     rng = np.random.default_rng(seed)
-    code = random_code(rng, m, k, m + 1)
-    a = random_exact_alphabet(rng, m)
-    assert delta_closed_form(code, a, method="uniform") == delta_closed_form(
-        code, a, method="general"
-    )
+    a = random_exact_alphabet(rng, m, nonuniform=nonuniform)
+    if greedy:
+        code = greedy_code(a, k)
+    else:
+        code = random_code(rng, m, k, data.draw(st.integers(m, m + 3)))
+    want = exact_oracle(code, a)
+    assert delta_closed_form(code, a) == want.delta
+    assert achievable_distortion(code, a) == want.d_ach
+    assert is_perfectly_secure(code, a) == want.secure
+    post = eve_posterior(code, a)
+    assert post.tau_prob == want.prob
+    assert post.tau_mean == want.means
+    assert post.support == tuple(j for j, p in enumerate(want.prob) if p > 0)
+    table = [int(t) for t in rng.integers(-50, 51, size=m)]
+    overall, means = table_posterior_means(code, a, table)
+    want_table = exact_oracle(code, a, table)
+    assert (overall, means) == (want_table.mean, want_table.means)
 
 
 def test_float_path_tracks_exact_path():
@@ -110,13 +122,55 @@ def test_float_path_tracks_exact_path():
         m = int(rng.integers(2, 10))
         code = random_code(rng, m, 1, m)
         af = random_float_alphabet(rng, m, nonuniform=bool(rng.integers(2)))
+        # An exact pmf must sum to exactly 1, so the twin drops the float dust.
+        total = sum(Fraction(p) for p in af.pmf)
         ax = make_alphabet(
             [Fraction(v) for v in af.values],
-            [Fraction(p) for p in af.pmf],
+            [Fraction(p) / total for p in af.pmf],
         )
         got = delta_closed_form(code, af)
         want = float(delta_closed_form(code, ax))
         assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+
+OFFSET_CASES = [
+    ([1e8 + i for i in range(1, 5)], None),
+    ([1e8 + i for i in range(1, 5)], [0.1, 0.2, 0.3, 0.4]),
+    ([2.0**30 + i + 0.5 for i in range(12)], None),
+]
+
+
+@pytest.mark.parametrize("values, pmf", OFFSET_CASES)
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_float_path_agrees_with_exact_on_large_offsets(values, pmf, k):
+    # Raw second moments of these values cancel catastrophically in floats;
+    # the centred pass must land on the exact numbers.
+    af = make_alphabet(values, pmf)
+    # The same numbers read as exact decimals.
+    ax = make_alphabet(
+        [Fraction(v) for v in values],
+        None if pmf is None else [Fraction(str(p)) for p in pmf],
+    )
+    code = greedy_code(af, k)
+    assert code == greedy_code(ax, k)
+    want = exact_oracle(code, ax)
+    scale = 1e-9 * want.d_max
+    rep = bound_report(code, af)
+    for got, exact in ((rep.d_max, want.d_max), (rep.d_ach, want.d_ach), (rep.delta, want.delta)):
+        assert abs(got - exact) <= scale
+    assert abs(achievable_distortion(code, af) - want.d_ach) <= scale
+    assert abs(delta_closed_form(code, af) - want.delta) <= scale
+    assert rep.delta >= 0 and rep.d_ach <= rep.d_max
+    assert rep.perfectly_secure == want.secure
+
+
+def test_skewed_offset_anchor():
+    a = make_alphabet([1e8 + i for i in range(1, 5)], [0.1, 0.2, 0.3, 0.4])
+    rep = bound_report(greedy_code(a, 1), a)
+    assert abs(rep.d_max - 1.0) <= 1e-9
+    assert abs(rep.d_ach - 0.84) <= 1e-9
+    assert abs(rep.delta - 0.16) <= 1e-9
+    assert not rep.perfectly_secure
 
 
 def test_table_posterior_means_on_a_transformed_payoff():

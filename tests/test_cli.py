@@ -288,6 +288,52 @@ def test_simulate_single_source_reproducible(capsys, tmp_path):
     assert rows[1][0] == "20000" and rows[1][2] == "1.25"
 
 
+def _bad_code(tmp_path, field, value):
+    doc = code_to_dict(greedy_code(QUAD, 1))
+    if field == "bin":  # in place of bin int(value), so truncation would pass
+        row = doc["assignment"][0]
+        row[row.index(int(value))] = value
+    else:
+        doc[field] = value
+    path = tmp_path / "bad_code.json"
+    path.write_text(json.dumps(doc))
+    return ("analyze", "--code", str(path), "--values", "1,2,3,4")
+
+
+def _bad_system(tmp_path, field, value):
+    path = _write_system(tmp_path)
+    doc = json.loads(path.read_text())
+    if field == "components":
+        doc["function"]["components"] = value
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    return ("compose", "--config", str(path))
+
+
+def _bad_alphabet_file(tmp_path, field, value):
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps({field: value}))
+    return ("encode", "--alg", "identity", "--values", f"@{path}")
+
+
+@pytest.mark.parametrize("make, field, value", [
+    (_bad_code, "m", [1]),
+    (_bad_code, "k", None),
+    (_bad_code, "bin", 1.5),
+    (_bad_system, "sources", 5),
+    (_bad_system, "codes", 5),
+    (_bad_system, "components", 5),
+    (_bad_system, "components", [[5]]),
+    (_bad_alphabet_file, "values", [[1], 2]),
+])
+def test_malformed_documents_exit_3(capsys, tmp_path, make, field, value):
+    rc, out, err = run(capsys, *make(tmp_path, field, value))
+    assert rc == 3
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_simulate_system(capsys, tmp_path):
     path = _write_system(tmp_path)
     rc, out, _ = run(capsys, "simulate", "--system", str(path),

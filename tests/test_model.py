@@ -86,6 +86,16 @@ def test_pmf_sum_tolerance_absorbs_float_dust():
     make_alphabet(list(range(10)), [0.1] * 10)  # sums to 0.9999999999999999
 
 
+def test_exact_pmf_must_sum_to_exactly_one():
+    # Fraction(0.1) is the binary double nearest 1/10, so these four miss 1
+    # by about 5.6e-17; the float slack would let them through.
+    dusty = [Fraction(p) for p in (0.1, 0.2, 0.3, 0.4)]
+    with pytest.raises(ValueError):
+        make_alphabet([10**8 + i for i in range(1, 5)], dusty)
+    make_alphabet([1, 2], [Fraction(1, 3), Fraction(2, 3)])
+    make_alphabet([1, 2], [0, 1])
+
+
 def test_code_validation():
     KeyedCode(m=2, k=1, r=2, assignment=((0, 1), (1, 0)))
     with pytest.raises(ValueError):
@@ -179,6 +189,13 @@ def test_code_json_rejects_malformed():
         code_from_dict({"m": 2, "k": 1, "r": 2, "assignment": "nope"})
     with pytest.raises(ValueError):
         code_from_dict([1, 2, 3])
+    for field, bad in (("m", [1]), ("k", None), ("r", 2.0), ("k", True)):
+        doc = {"m": 2, "k": 1, "r": 2, "assignment": [[0, 1], [1, 0]]}
+        doc[field] = bad
+        with pytest.raises(ValueError):
+            code_from_dict(doc)
+    with pytest.raises(ValueError):
+        code_from_dict({"m": 2, "k": 1, "r": 2, "assignment": [[0, 1.5], [1, 0]]})
 
 
 def test_alphabet_json_round_trip_exact():

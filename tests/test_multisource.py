@@ -10,6 +10,7 @@ from distsec import (
     CapExceededError,
     JointSystem,
     SeparableFunction,
+    SimConfig,
     check_sufficiency,
     complete_key_assignment,
     evaluate,
@@ -21,6 +22,7 @@ from distsec import (
     make_alphabet,
     necessity_witness,
     product_function,
+    simulate,
     sum_function,
 )
 from distsec.encoders import Binning
@@ -126,6 +128,27 @@ def test_security_is_per_payoff_not_per_symbol():
     assert joint_distortion(sq_system(symbol_code)).delta == Fraction(9, 4)
     assert check_sufficiency(sq_system(square_code))
     assert joint_distortion(sq_system(square_code)).delta == 0
+
+
+def test_float_sum_over_large_offsets_matches_exact():
+    # Raw joint moments of two 1e8-offset sources cancel in floats; the
+    # centred pass must report the exact 2.5 / 2.5 / 0 and a simulation
+    # must land on it.
+    offset = make_alphabet([1e8 + i for i in range(1, 5)])
+    code = greedy_code(offset, 1)
+    system = JointSystem(
+        sources=(offset, offset),
+        codes=(code, code),
+        function=sum_function([offset.values, offset.values]),
+    )
+    rep = joint_distortion(system)
+    assert abs(rep.d_max - 2.5) <= 2.5e-9
+    assert abs(rep.d_ach - 2.5) <= 2.5e-9
+    assert abs(rep.delta) <= 2.5e-9
+    assert rep.perfectly_secure
+    sim = simulate(SimConfig(trials=100_000, seed=3, target=system))
+    assert abs(sim.analytic_dach - 2.5) <= 2.5e-9
+    assert abs(sim.empirical_dach - sim.analytic_dach) <= 4 * sim.stderr
 
 
 def test_unsecured_component_fails_sufficiency():

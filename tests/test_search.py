@@ -43,6 +43,20 @@ def test_search_never_beats_greedy_at_one_bit(m):
         assert result.best_delta == delta_closed_form(greedy_code(a, 1), a)
 
 
+@pytest.mark.parametrize("values", [
+    [1e8 + i for i in range(1, 5)],
+    [2.0**30 + i + 0.5 for i in range(4)],
+])
+@pytest.mark.parametrize("k", [0, 1])
+def test_float_search_agrees_with_exact_on_large_offsets(values, k):
+    # Ranking on raw bin sums cancels the offset away: the float search
+    # reported 2.0 and 0.0 at k=0 here, where both advantages are 5/4.
+    exact = brute_force_optimal(make_alphabet([Fraction(v) for v in values]), k)
+    floaty = brute_force_optimal(make_alphabet(values), k)
+    assert exact.best_delta == (Fraction(5, 4) if k == 0 else 0)
+    assert abs(floaty.best_delta - exact.best_delta) <= 1e-9 * Fraction(5, 4)
+
+
 def test_pruning_shrinks_the_walk_without_changing_the_answer():
     pruned = brute_force_optimal(QUAD, 1, prune=True)
     full = brute_force_optimal(QUAD, 1, prune=False)
