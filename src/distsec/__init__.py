@@ -47,7 +47,6 @@ from .multisource import (
     WitnessReport,
     check_sufficiency,
     evaluate,
-    joint_delta_factorized,
     joint_distortion,
     necessity_witness,
     product_function,
@@ -92,7 +91,6 @@ __all__ = [
     "greedy_code",
     "identity_code",
     "is_perfectly_secure",
-    "joint_delta_factorized",
     "joint_distortion",
     "make_alphabet",
     "max_distortion",

@@ -217,13 +217,14 @@ class DistortionReport:
     ``bound1_ok`` checks advantage <= d_max / 2**k and ``bound2_ok`` checks
     advantage <= spread^2 / 2**(2k); both are None when not applicable (the
     guarantees are stated for uniform single sources, so non-uniform and
-    composed reports carry None).
+    composed reports carry None).  ``spread`` is the value spread of a single
+    source and None for a composed system.
     """
 
     d_max: Scalar
     d_ach: Scalar
     delta: Scalar
-    spread: Scalar
+    spread: Scalar | None
     bound1_ok: bool | None
     bound2_ok: bool | None
     perfectly_secure: bool
@@ -244,7 +245,7 @@ def bound_report(
     spread = alphabet.spread
     if alphabet.is_uniform():
         slack = Fraction(tol) if alphabet.exact else tol
-        keys = code.key_count
+        keys = Fraction(code.key_count) if alphabet.exact else code.key_count
         bound1_ok = delta <= d_max / keys + slack * d_max
         bound2_ok = delta <= spread * spread / keys**2 + slack * spread * spread
     else:

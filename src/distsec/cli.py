@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 2 usage errors, 3 malformed input (files, configs,
-incompatible parameters), 4 desk-scale cap exceeded, 1 unexpected failure.
+incompatible parameters, numbers that are not finite or whose results do not
+fit a float), 4 desk-scale cap exceeded, 1 unexpected failure.
 Runs with identical flags and seeds write byte-identical output.
 """
 
@@ -11,6 +12,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +35,9 @@ from .multisource import JointSystem, SeparableFunction, joint_distortion
 from .search import brute_force_optimal
 from .simulation import SimConfig, simulate
 
-STATE_CAP_ENV = "DISTSEC_CAP_STATES"
+# Largest m * 2**k (value, key) table a construction may build.  Exchange
+# plus completion takes tens of seconds at a quarter of it.
+CONSTRUCTION_CAP = 1_000_000
 REPORT_COLUMNS = [
     "alphabet_id",
     "m",
@@ -58,7 +62,13 @@ class CliError(Exception):
 
 
 def _fmt(x) -> str:
-    return format(float(x), ".17g")
+    try:
+        f = float(x)
+    except OverflowError:
+        f = math.inf
+    if not math.isfinite(f):
+        raise ValueError("a result does not fit a finite float")
+    return format(f, ".17g")
 
 
 def _fmt_flag(b) -> str:
@@ -191,19 +201,9 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _state_cap() -> int:
-    raw = os.environ.get(STATE_CAP_ENV)
-    if raw is None:
-        return 1_000_000
-    try:
-        return int(raw)
-    except ValueError as e:
-        raise CliError(3, f"{STATE_CAP_ENV}={raw!r} is not an integer") from e
-
-
 def _report_row(alphabet, code_k: int, alg: str, seed, report) -> list[str]:
-    keys = 2**code_k
     if alphabet is not None and alphabet.is_uniform():
+        keys = Fraction(2**code_k) if alphabet.exact else 2**code_k
         bound1 = report.d_max / keys
         bound2 = report.spread * report.spread / keys**2
         b1, b2 = _fmt(bound1), _fmt(bound2)
@@ -226,7 +226,19 @@ def _report_row(alphabet, code_k: int, alg: str, seed, report) -> list[str]:
     ]
 
 
+def _check_construction(m: int, k: int) -> None:
+    """Refuse a construction of more than CONSTRUCTION_CAP (value, key) pairs
+    before any table is built."""
+    # 2**21 alone exceeds the cap, so a larger k is refused without forming 2**k.
+    if k > 20 or m * 2 ** max(k, 0) > CONSTRUCTION_CAP:
+        raise CapExceededError(
+            f"construction needs m*2**k = {m}*2**{k} (value, key) states, "
+            f"above the cap of {CONSTRUCTION_CAP}"
+        )
+
+
 def _build_code(alg: str, alphabet: SourceAlphabet, k: int, r, seed: int) -> KeyedCode:
+    _check_construction(alphabet.m, 0 if alg == "identity" else k)
     if alg == "greedy":
         if r is not None and r != alphabet.m:
             raise CliError(3, "greedy codes use r = m")
@@ -300,7 +312,8 @@ def _is_list_of(x, depth: int) -> bool:
 
 
 def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
-    if not isinstance(doc, dict) or doc.get("version") != 1:
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if isinstance(version, bool) or version != 1:
         raise CliError(3, "system config must be a JSON object with version: 1")
     for field in ("sources", "codes", "function"):
         if field not in doc:
@@ -346,7 +359,7 @@ def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
 def _cmd_compose(args) -> int:
     doc = _read_json(args.config, args.exact)
     system = _parse_system(doc, os.path.dirname(os.path.abspath(args.config)), args.exact)
-    report = joint_distortion(system, max_states=_state_cap())
+    report = joint_distortion(system)
     row = _report_row(None, system.total_key_bits, "compose", None, report)
     blob = json.dumps(doc, sort_keys=True, default=str)
     row[0] = hashlib.sha1(blob.encode()).hexdigest()[:12]
@@ -375,7 +388,7 @@ def _cmd_simulate(args) -> int:
         config = SimConfig(trials=args.trials, seed=args.seed, target=target)
     except ValueError as e:
         raise CliError(3, str(e)) from e
-    report = simulate(config, max_states=_state_cap())
+    report = simulate(config)
     rows = [[
         str(report.trials),
         str(report.seed),
@@ -408,6 +421,8 @@ def _cmd_sweep(args) -> int:
         if alg not in ("greedy", "exchange", "identity"):
             raise CliError(2, f"unknown algorithm {alg!r}")
     seeds = _parse_int_range(args.seeds) if args.seeds else [args.seed]
+    keyed = any(alg != "identity" for alg in algs)
+    _check_construction(alphabet.m, max(ks) if keyed else 0)
 
     # Pass plain values so rows pickle cleanly for the process pool.
     inverse = _inverse(alphabet.original_index)
@@ -515,7 +530,7 @@ def main(argv=None) -> int:
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
     except Exception as e:  # pragma: no cover - safety net

@@ -14,6 +14,7 @@ inputs follow ordinary float arithmetic.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,22 +25,30 @@ Scalar = int | float | Fraction
 class CapExceededError(RuntimeError):
     """Raised when an instance exceeds a configured desk-scale cap.
 
-    Search and joint-system enumeration are exponential in their inputs; the
-    caps exist so a typo does not turn into an unbounded computation.  Callers
-    that really mean it can raise the caps explicitly.
+    Search is factorial and constructions are linear in m 2**k, which grows
+    exponentially in k; the caps exist so a typo does not turn into an
+    unbounded computation.  Callers that really mean it can raise the search
+    caps explicitly.
     """
 
 
 def _coerce_scalar(x, what: str) -> Scalar:
-    """Normalise one numeric input to int, Fraction, or float."""
+    """Normalise one numeric input to int, Fraction, or finite float.
+
+    Booleans are refused although Python counts them as integers, and so
+    are NaN and the infinities: no distortion is defined for them.
+    """
     if isinstance(x, bool):
-        return int(x)
+        raise TypeError(f"{what} must be a real number, got bool")
     if isinstance(x, numbers.Integral):
         return int(x)
     if isinstance(x, Fraction):
         return x
     if isinstance(x, numbers.Real):
-        return float(x)
+        x = float(x)
+        if not math.isfinite(x):
+            raise ValueError(f"{what} must be finite, got {x}")
+        return x
     raise TypeError(f"{what} must be a real number, got {type(x).__name__}")
 
 
@@ -167,10 +176,10 @@ class KeyedCode:
             raise ValueError("key bit count must be >= 0")
         if self.r < 1:
             raise ValueError("need at least one bin")
-        if len(self.assignment) != self.key_count:
-            raise ValueError(
-                f"expected {self.key_count} key rows, got {len(self.assignment)}"
-            )
+        # Compare bit lengths first so a huge k never evaluates 2**k.
+        rows = len(self.assignment)
+        if self.k >= rows.bit_length() or rows != self.key_count:
+            raise ValueError(f"expected 2**{self.k} key rows, got {rows}")
         for key, row in enumerate(self.assignment):
             if len(row) != self.m:
                 raise ValueError(
@@ -277,7 +286,7 @@ def scalar_from_json(x) -> Scalar:
             return Fraction(x)
         except (ValueError, ZeroDivisionError) as e:
             raise ValueError(f"bad rational literal {x!r}") from e
-    if not isinstance(x, numbers.Real):
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"expected a number, got {x!r}")
     return _coerce_scalar(x, "value")
 

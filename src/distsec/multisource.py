@@ -1,40 +1,36 @@
 """Composing independently keyed sources under one separable function.
 
 A separable function is a sum of product terms, each factor touching one
-source: f(x) = sum_l prod_i f_i^(l)(x_i).  Because the sources and their key
-streams are independent, the eavesdropper's posterior over the joint value
-factorizes across sources given her tuple of bin observations, so securing
-every per-component table f_i^(l) under its own source's code secures f.
-Necessity runs the other way only for restricted shapes (a pure sum of
-per-source terms, or a single product term with nonzero component means and
+source: f(x) = sum_l prod_i f_i^(l)(x_i).  The sources are independent and so
+are their key streams, so the eavesdropper's bin observations G_i are
+independent across sources as well, and every moment of f splits into
+per-source moments.  With F_l = prod_i f_i^(l)(X_i) the l-th term and
+mu_i^(l)(g) = E[f_i^(l)(X_i) | G_i = g] a single-source posterior mean,
+
+    E[F_l F_l']              = prod_i E[f_i^(l) f_i^(l')]
+    E[E[F_l|G] E[F_l'|G]]    = prod_i E[mu_i^(l)(G_i) mu_i^(l')(G_i)]
+    E[f | G = (g_1, ..., g_n)] = sum_l prod_i mu_i^(l)(g_i).
+
+So a composed system is analysed from one bin-moment pass per (term, source)
+pair, in O(L^2 sum_i m_i 2**k_i) time, whatever its joint state count
+prod_i m_i 2**k_i.  The test suite checks the results against an exact
+enumeration of that product space.
+
+Securing every per-component table f_i^(l) under its own source's code
+secures f: each mu_i^(l) is then constant, and so is E[f | G].  Necessity
+runs the other way only for restricted shapes (a pure sum of per-source
+terms, or a single product term with nonzero component means and
 variances), where an unsecured component can be steered into a concrete
 observation tuple whose conditional mean moves off E[f].
-
-``joint_distortion`` enumerates the full product space of joint values and
-key tuples; it assumes no structure and anchors everything else here.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 
-from .analysis import (
-    DistortionReport,
-    _BinMoments,
-    _bin_moments,
-    eve_posterior,
-    table_posterior_means,
-)
-from .model import (
-    CapExceededError,
-    KeyedCode,
-    Scalar,
-    SourceAlphabet,
-    arithmetic_view,
-    is_exact,
-)
+from .analysis import DistortionReport, _BinMoments, _bin_moments
+from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, is_exact
 
 FORMS = ("general-sum-of-products", "pure-sum", "pure-product")
 
@@ -176,158 +172,107 @@ class JointSystem:
         return states
 
 
-def _lift_table(table, exact: bool):
-    if exact:
-        return tuple(Fraction(t) if isinstance(t, int) else t for t in table)
-    return tuple(table)
+def _product_covariance(qs, cs) -> Scalar:
+    """prod_i (q_i + c_i) - prod_i q_i, accumulated without the subtraction.
 
-
-def observation_moments(system: JointSystem, max_states: int = 1_000_000):
-    """Per-observation moments of f over the full product space.
-
-    Walks every (joint value, key tuple) pair and tallies, for each
-    observation tuple g, the probability mass and the first two moments of
-    f - E[f] restricted to it.  Centring on E[f] first keeps the float path
-    from cancelling large offsets.  This is the one place product-space
-    enumeration happens; the distortion report and the simulator's
-    conditional-mean table both read from it.  Raises CapExceededError when
-    the state space exceeds ``max_states``.
-
-    Returns:
-        (observations, moments, spread): the observable tuples in first-seen
-        order, their moments in the same order, and max f - min f.
+    D <- q_i D + c_i P and P <- (q_i + c_i) P keep D equal to the difference
+    after every factor, so floats never cancel two large products.
     """
-    states = system.state_count()
-    if states > max_states:
-        raise CapExceededError(
-            f"joint state space {states} exceeds cap {max_states}"
+    d, p = 0, 1
+    for q, c in zip(qs, cs):
+        d, p = q * d + c * p, (q + c) * p
+    return d
+
+
+@dataclass(frozen=True)
+class _Composition:
+    """A separable function's moments under its system's codes.
+
+    ``moments[l][i]`` is the bin-moment pass of table f_i^(l) under code i;
+    ``mean`` is E[f], ``d_max`` is var(f) and ``delta`` is var(E[f | G]).
+    """
+
+    exact: bool
+    moments: tuple[tuple[_BinMoments, ...], ...]
+    mean: Scalar
+    d_max: Scalar
+    delta: Scalar
+
+    def secure(self, tol: float) -> bool:
+        """E[f | G] is constant: delta == 0 on the exact path; on floats its
+        RMS gap sqrt(delta) within ``tol`` scaled by max(1, |E[f]|)."""
+        if self.exact:
+            return self.delta == 0
+        return math.sqrt(max(self.delta, 0)) <= tol * max(1.0, abs(self.mean))
+
+
+def _compose(system: JointSystem) -> _Composition:
+    """One bin-moment pass per (term, source) pair, then the term-pair sums.
+
+    For terms l, l' and source i let q_i = nu_i^l nu_i^l' be the product of
+    the two factors' means.  Then cov(F_l, F_l') = prod_i (q_i + c_i) -
+    prod_i q_i, where c_i is the covariance of f_i^(l)(X_i) and
+    f_i^(l')(X_i) for var(f), and of their posterior means,
+    sum_j s1_j^l s1_j^l' / m0_j, for var(E[f | G]).
+    """
+    terms = system.function.components
+    moments = tuple(
+        tuple(
+            _bin_moments(code, alphabet, term[i])
+            for i, (code, alphabet) in enumerate(zip(system.codes, system.sources))
         )
-    exact = system.exact
-    pmfs = [arithmetic_view(a)[1] for a in system.sources]
-    tables = [
-        [_lift_table(term[i], exact) for i in range(system.n)]
-        for term in system.function.components
-    ]
-    key_weight = Fraction(1) if exact else 1.0
-    for code in system.codes:
-        key_weight = key_weight / code.key_count
-    f_mean = _function_mean(system)
-
-    m0: dict = {}
-    s1: dict = {}
-    s2: dict = {}
-    fmin = fmax = None
-    for xs in product(*(range(a.m) for a in system.sources)):
-        px = 1
-        for i, x in enumerate(xs):
-            px = px * pmfs[i][x]
-        if px == 0:
-            continue
-        f = sum(
-            _prod(term[i][x] for i, x in enumerate(xs)) for term in tables
-        ) - f_mean
-        if fmin is None or f < fmin:
-            fmin = f
-        if fmax is None or f > fmax:
-            fmax = f
-        w = px * key_weight
-        per_source_bins = [
-            [system.codes[i].assignment[key][x] for key in range(system.codes[i].key_count)]
-            for i, x in enumerate(xs)
-        ]
-        for g in product(*per_source_bins):
-            m0[g] = m0.get(g, 0) + w
-            s1[g] = s1.get(g, 0) + w * f
-            s2[g] = s2.get(g, 0) + w * f * f
-    observations = list(m0)
-    moments = _BinMoments(
-        exact,
-        f_mean,
-        tuple(m0.values()),
-        tuple(s1[g] for g in observations),
-        tuple(s2[g] for g in observations),
+        for term in terms
     )
-    return observations, moments, fmax - fmin
+    pmfs = [arithmetic_view(alphabet)[1] for alphabet in system.sources]
+    centred = [
+        [
+            [(t if mom.exact else float(t)) - mom.mean for t in table]
+            for table, mom in zip(term, row)
+        ]
+        for term, row in zip(terms, moments)
+    ]
+    d_max = delta = 0
+    for a, row_a in enumerate(moments):
+        for b, row_b in enumerate(moments):
+            qs = [ma.mean * mb.mean for ma, mb in zip(row_a, row_b)]
+            d_max += _product_covariance(
+                qs,
+                [
+                    sum(p * u * v for p, u, v in zip(pmf, ua, ub))
+                    for pmf, ua, ub in zip(pmfs, centred[a], centred[b])
+                ],
+            )
+            delta += _product_covariance(
+                qs,
+                [
+                    sum(ma.s1[j] * mb.s1[j] / ma.m0[j] for j in ma.support())
+                    for ma, mb in zip(row_a, row_b)
+                ],
+            )
+    mean = sum(math.prod(mom.mean for mom in row) for row in moments)
+    return _Composition(system.exact, moments, mean, d_max, delta)
 
 
-def joint_distortion(
-    system: JointSystem, tol: float = 1e-9, max_states: int = 1_000_000
-) -> DistortionReport:
-    """Exact distortion picture of the composed system, by full enumeration.
+def joint_distortion(system: JointSystem, tol: float = 1e-9) -> DistortionReport:
+    """Distortion picture of the composed system, from per-source moments.
 
-    Reads off max distortion, the eavesdropper's achievable distortion, and
-    her advantage from the per-observation moments.  The single-source decay
-    bounds do not speak about composed systems, so both bound flags are
-    None.  Raises CapExceededError when the product state space exceeds
-    ``max_states``.
+    Reports max distortion var(f), the eavesdropper's advantage
+    var(E[f | G]) and her achievable distortion, their difference.  The
+    single-source decay bounds do not speak about composed systems, so both
+    bound flags and the spread are None.  The system is perfectly secure
+    when the advantage is exactly zero; on floats when its root is within
+    ``tol`` scaled by max(1, |E[f]|).
     """
-    _, moments, spread = observation_moments(system, max_states)
-    d_max = sum(moments.s2)
-    delta = moments.advantage()
+    comp = _compose(system)
     return DistortionReport(
-        d_max=d_max,
-        d_ach=d_max - delta,
-        delta=delta,
-        spread=spread,
+        d_max=comp.d_max,
+        d_ach=comp.d_max - comp.delta,
+        delta=comp.delta,
+        spread=None,
         bound1_ok=None,
         bound2_ok=None,
-        perfectly_secure=moments.secure(tol),
+        perfectly_secure=comp.secure(tol),
     )
-
-
-def _prod(it):
-    out = 1
-    for x in it:
-        out = out * x
-    return out
-
-
-def joint_delta_factorized(system: JointSystem) -> Scalar:
-    """The eavesdropper's advantage via per-source posteriors.
-
-    Conditioned on her observation tuple, the sources stay independent, so
-    E[f | g] = sum_l prod_i E[f_i^(l)(X_i) | g_i] with every factor a
-    single-source posterior table mean.  The advantage is then the variance
-    of E[f | g] over observation tuples.  This is the fast path; the test
-    suite checks it against ``joint_distortion`` numerically.
-    """
-    exact = system.exact
-    per_source_prob = []
-    per_source_means = []  # [l][i] -> per-bin means
-    overall = []  # [l][i] -> E[f_i^(l)]
-    for l, term in enumerate(system.function.components):
-        term_means = []
-        term_overall = []
-        for i in range(system.n):
-            table = _lift_table(term[i], exact)
-            mean, means = table_posterior_means(
-                system.codes[i], system.sources[i], table
-            )
-            term_means.append(means)
-            term_overall.append(mean)
-        per_source_means.append(term_means)
-        overall.append(term_overall)
-    supports = []
-    for i in range(system.n):
-        post = eve_posterior(system.codes[i], system.sources[i])
-        supports.append(post.support)
-        per_source_prob.append(post.tau_prob)
-    f_mean = sum(_prod(term) for term in overall)
-    acc = 0
-    for g in product(*supports):
-        pg = _prod(per_source_prob[i][g[i]] for i in range(system.n))
-        cond = sum(
-            _prod(per_source_means[l][i][g[i]] for i in range(system.n))
-            for l in range(system.function.L)
-        )
-        acc += pg * (cond - f_mean) * (cond - f_mean)
-    return acc
-
-
-def _component_secure(
-    code: KeyedCode, alphabet: SourceAlphabet, table, tol: float
-) -> bool:
-    return _bin_moments(code, alphabet, table).secure(tol)
 
 
 def check_sufficiency(system: JointSystem, tol: float = 1e-9) -> bool:
@@ -335,28 +280,22 @@ def check_sufficiency(system: JointSystem, tol: float = 1e-9) -> bool:
 
     The check is per component: term l's factor for source i must have equal
     posterior means under code i (constant factors pass trivially).  When it
-    holds and the state space fits the enumeration cap, the joint advantage
-    is verified to vanish; a nonzero value would contradict the factorized
-    posterior argument and raises RuntimeError.
+    holds, the joint advantage computed from the same per-source moments
+    must vanish (exactly, or on floats within ``tol`` scaled by
+    max(1, |d_max|)); a nonzero value would contradict the factorization
+    argument and raises RuntimeError.
     """
-    ok = all(
-        _component_secure(system.codes[i], system.sources[i], term[i], tol)
-        for term in system.function.components
-        for i in range(system.n)
-    )
+    comp = _compose(system)
+    ok = all(mom.secure(tol) for row in comp.moments for mom in row)
     if ok:
-        try:
-            report = joint_distortion(system, tol=tol)
-        except CapExceededError:
-            return ok
-        if system.exact:
-            breached = report.delta != 0
+        if comp.exact:
+            breached = comp.delta != 0
         else:
-            breached = abs(report.delta) > tol * max(1.0, abs(report.d_max))
+            breached = abs(comp.delta) > tol * max(1.0, abs(comp.d_max))
         if breached:
             raise RuntimeError(
                 "all components secure but joint advantage is "
-                f"{report.delta}; factorization invariant violated"
+                f"{comp.delta}; factorization invariant violated"
             )
     return ok
 
@@ -379,10 +318,7 @@ class WitnessReport:
 
 
 def necessity_witness(
-    system: JointSystem,
-    unsecured_index: int,
-    tol: float = 1e-9,
-    max_states: int = 1_000_000,
+    system: JointSystem, unsecured_index: int, tol: float = 1e-9
 ) -> WitnessReport:
     """Exhibit an observation tuple proving the composed function leaks.
 
@@ -392,37 +328,32 @@ def necessity_witness(
     exceeds its component mean; secured sources contribute any bin.  For
     products the same with absolute values, valid when every component mean
     and variance is nonzero; otherwise returns status "not-applicable".
-    The reported joint advantage comes from the full enumeration oracle.
+    The tuple's conditional mean sum_l prod_i mu_i^(l)(g_i), the function
+    mean sum_l prod_i E[f_i^(l)] and the joint advantage all come from the
+    per-source moments.
     """
     fn = system.function
-    if fn.form == "pure-sum":
-        comp_tables = [fn.components[i][i] for i in range(system.n)]
-    elif fn.form == "pure-product":
-        comp_tables = [fn.components[0][i] for i in range(system.n)]
-    else:
+    if fn.form not in ("pure-sum", "pure-product"):
         raise ValueError("necessity witnesses exist for pure-sum and pure-product only")
     if not 0 <= unsecured_index < system.n:
         raise ValueError(f"unsecured_index {unsecured_index} outside [0, {system.n})")
-    if _component_secure(
-        system.codes[unsecured_index],
-        system.sources[unsecured_index],
-        comp_tables[unsecured_index],
-        tol,
-    ):
+    comp = _compose(system)
+    if fn.form == "pure-sum":
+        components = [comp.moments[i][i] for i in range(system.n)]
+    else:
+        components = list(comp.moments[0])
+    if components[unsecured_index].secure(tol):
         raise ValueError(
             f"component {unsecured_index} is perfectly secure; no witness exists"
         )
 
     if fn.form == "pure-product":
-        for i in range(system.n):
-            exact = system.sources[i].exact and all(is_exact(t) for t in comp_tables[i])
-            table = _lift_table(comp_tables[i], exact)
-            _, pmf = arithmetic_view(system.sources[i])
-            mean = sum(p * t for p, t in zip(pmf, table))
-            var = sum(p * (t - mean) * (t - mean) for p, t in zip(pmf, table))
-            zero = (mean == 0 or var == 0) if exact else (
-                abs(mean) <= tol or abs(var) <= tol
-            )
+        for mom in components:
+            var = sum(mom.s2)
+            if mom.exact:
+                zero = mom.mean == 0 or var == 0
+            else:
+                zero = abs(mom.mean) <= tol or abs(var) <= tol
             if zero:
                 return WitnessReport(
                     status="not-applicable",
@@ -433,82 +364,25 @@ def necessity_witness(
                 )
 
     observation = []
-    for i in range(system.n):
-        exact = system.sources[i].exact and all(is_exact(t) for t in comp_tables[i])
-        table = _lift_table(comp_tables[i], exact)
-        overall, means = table_posterior_means(system.codes[i], system.sources[i], table)
-        if _component_secure(system.codes[i], system.sources[i], comp_tables[i], tol):
-            pick = next(j for j, mu in enumerate(means) if mu is not None)
+    for mom in components:
+        means = mom.posterior_means()
+        support = mom.support()
+        if mom.secure(tol):
+            pick = support[0]
         elif fn.form == "pure-sum":
-            pick = max(
-                (j for j, mu in enumerate(means) if mu is not None),
-                key=lambda j: means[j],
-            )
+            pick = max(support, key=lambda j: means[j])
         else:
-            pick = max(
-                (j for j, mu in enumerate(means) if mu is not None),
-                key=lambda j: abs(means[j]),
-            )
+            pick = max(support, key=lambda j: abs(means[j]))
         observation.append(pick)
     observation = tuple(observation)
-
-    # Conditional mean at the chosen tuple, from the raw joint enumeration.
-    report = joint_distortion(system, tol=tol, max_states=max_states)
-    cond = _conditional_mean_at(system, observation)
-    f_mean = _function_mean(system)
+    conditional_mean = sum(
+        math.prod(mom.posterior_means()[g] for mom, g in zip(row, observation))
+        for row in comp.moments
+    )
     return WitnessReport(
         status="found",
         observation=observation,
-        conditional_mean=cond,
-        function_mean=f_mean,
-        joint_delta=report.delta,
+        conditional_mean=conditional_mean,
+        function_mean=comp.mean,
+        joint_delta=comp.delta,
     )
-
-
-def _function_mean(system: JointSystem) -> Scalar:
-    exact = system.exact
-    total = 0
-    for term in system.function.components:
-        prod = 1
-        for i in range(system.n):
-            _, pmf = arithmetic_view(system.sources[i])
-            table = _lift_table(term[i], exact)
-            prod *= sum(p * t for p, t in zip(pmf, table))
-        total += prod
-    return total
-
-
-def _conditional_mean_at(system: JointSystem, observation: tuple[int, ...]) -> Scalar:
-    """E[f | g] at one tuple, accumulated directly from (value, key) pairs."""
-    exact = system.exact
-    pmfs = [arithmetic_view(a)[1] for a in system.sources]
-    tables = [
-        [_lift_table(term[i], exact) for i in range(system.n)]
-        for term in system.function.components
-    ]
-    w_total = 0
-    acc = 0
-    for xs in product(*(range(a.m) for a in system.sources)):
-        px = _prod(pmfs[i][x] for i, x in enumerate(xs))
-        if px == 0:
-            continue
-        hits = 1
-        for i, x in enumerate(xs):
-            code = system.codes[i]
-            count = sum(
-                1
-                for key in range(code.key_count)
-                if code.assignment[key][x] == observation[i]
-            )
-            hits *= count
-            if not count:
-                break
-        if not hits:
-            continue
-        w = px * hits
-        f = sum(_prod(term[i][x] for i, x in enumerate(xs)) for term in tables)
-        w_total += w
-        acc += w * f
-    if w_total == 0:
-        raise ValueError(f"observation {observation} has probability zero")
-    return acc / w_total

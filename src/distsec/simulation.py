@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _bin_moments
+from .analysis import _bin_moments, _BinMoments
 from .model import KeyedCode, Scalar, SourceAlphabet
-from .multisource import JointSystem, observation_moments
+from .multisource import JointSystem, _compose
 
 STREAM_TRIALS = 1 << 14
 
@@ -59,7 +59,14 @@ def _stream_sizes(trials: int) -> list[int]:
     return [STREAM_TRIALS] * full + ([rest] if rest else [])
 
 
-def simulate(config: SimConfig, max_states: int = 1_000_000) -> SimReport:
+def _estimates(moments: _BinMoments) -> np.ndarray:
+    """Posterior mean per bin as floats, NaN for bins never observed."""
+    return np.array(
+        [float(mu) if mu is not None else np.nan for mu in moments.posterior_means()]
+    )
+
+
+def simulate(config: SimConfig) -> SimReport:
     """Run the trials and report empirical vs analytic distortion.
 
     ``stderr`` is the sample standard deviation of the per-trial squared
@@ -67,13 +74,11 @@ def simulate(config: SimConfig, max_states: int = 1_000_000) -> SimReport:
     posterior mean, the empirical mean is unbiased for the analytic value.
     """
     if isinstance(config.target, JointSystem):
-        return _simulate_joint(config, max_states)
+        return _simulate_joint(config)
     code, alphabet = config.target
     moments = _bin_moments(code, alphabet)
     analytic = moments.loss()
-    estimate = np.array(
-        [float(mu) if mu is not None else np.nan for mu in moments.posterior_means()]
-    )
+    estimate = _estimates(moments)
     values = np.array([float(v) for v in alphabet.values])
     pmf = np.array([float(p) for p in alphabet.pmf])
     pmf = pmf / pmf.sum()
@@ -91,22 +96,14 @@ def simulate(config: SimConfig, max_states: int = 1_000_000) -> SimReport:
     return _finish(config, analytic, sums, squares)
 
 
-def _simulate_joint(config: SimConfig, max_states: int) -> SimReport:
+def _simulate_joint(config: SimConfig) -> SimReport:
+    """Her estimate of f = sum_l prod_i f_i^(l)(X_i) given the bin tuple
+    (g_1, ..., g_n) is sum_l prod_i E[f_i^(l)(X_i) | g_i], read from one
+    posterior table per (term, source) pair."""
     system = config.target
-    observations, moments, _ = observation_moments(system, max_states)
-    analytic = moments.loss()
-
-    # Flat-index the observation tuples so estimates vectorize.
-    strides = []
-    stride = 1
-    for code in reversed(system.codes):
-        strides.append(stride)
-        stride *= code.r
-    strides = list(reversed(strides))
-    estimate = np.full(stride, np.nan)
-    for g, mu in zip(observations, moments.posterior_means()):
-        estimate[sum(b * s for b, s in zip(g, strides))] = float(mu)
-
+    comp = _compose(system)
+    analytic = comp.d_max - comp.delta
+    estimates = [[_estimates(mom) for mom in row] for row in comp.moments]
     pmfs = [np.array([float(p) for p in a.pmf]) for a in system.sources]
     pmfs = [p / p.sum() for p in pmfs]
     tables = [np.array(code.assignment) for code in system.codes]
@@ -118,20 +115,23 @@ def _simulate_joint(config: SimConfig, max_states: int) -> SimReport:
     sums, squares = [], []
     for s, size in enumerate(_stream_sizes(config.trials)):
         rng = np.random.default_rng([config.seed, s])
-        flat = np.zeros(size, dtype=np.int64)
-        f = np.zeros(size)
-        draws = []
+        draws, bins = [], []
         for i, (alpha, code) in enumerate(zip(system.sources, system.codes)):
             vals = rng.choice(alpha.m, size=size, p=pmfs[i])
             keys = rng.integers(0, code.key_count, size=size)
             draws.append(vals)
-            flat += tables[i][keys, vals] * strides[i]
+            bins.append(tables[i][keys, vals])
+        f = np.zeros(size)
+        guess = np.zeros(size)
         for l in range(system.function.L):
             term = np.ones(size)
+            term_guess = np.ones(size)
             for i in range(system.n):
                 term *= factors[l][i][draws[i]]
+                term_guess *= estimates[l][i][bins[i]]
             f += term
-        err = (f - estimate[flat]) ** 2
+            guess += term_guess
+        err = (f - guess) ** 2
         sums.append(float(err.sum()))
         squares.append(float((err * err).sum()))
     return _finish(config, analytic, sums, squares)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import prod
 
 import numpy as np
 
@@ -58,18 +60,19 @@ def binning_of(code: KeyedCode, alphabet: SourceAlphabet) -> Binning:
 
 @dataclass(frozen=True)
 class Oracle:
-    """One code's distortion picture, in exact arithmetic.
+    """One code's (or system's) distortion picture, in exact arithmetic.
 
     ``prob[j]`` is p(bin j) and ``means[j]`` is E[t(X) | bin j], None off the
-    support; ``mean`` is E[t(X)].
+    support; ``mean`` is E[t(X)].  For a composed system both are dicts keyed
+    by the observed bin tuples.
     """
 
     mean: Fraction
     d_max: Fraction
     d_ach: Fraction
     delta: Fraction
-    prob: tuple[Fraction, ...]
-    means: tuple[Fraction | None, ...]
+    prob: tuple[Fraction, ...] | dict[tuple[int, ...], Fraction]
+    means: tuple[Fraction | None, ...] | dict[tuple[int, ...], Fraction]
     secure: bool
 
 
@@ -107,4 +110,48 @@ def exact_oracle(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> Oracl
         prob=tuple(m0),
         means=means,
         secure=all(means[j] == mean for j in support),
+    )
+
+
+def joint_oracle(system) -> Oracle:
+    """Enumerate every (joint value, key tuple) pair of a composed system in
+    Fractions: prod_i m_i 2**k_i states, the reference the package's
+    per-source composition is checked against.
+
+    Each state adds its probability and f, f^2 to the tuple of bins it is
+    observed as; raw moments are exact here, so no centring is needed.
+    """
+    n = system.n
+    pmfs = [[Fraction(p) for p in a.pmf] for a in system.sources]
+    assert all(sum(pmf) == 1 for pmf in pmfs)
+    tables = [
+        [[Fraction(t) for t in term[i]] for i in range(n)]
+        for term in system.function.components
+    ]
+    codes = system.codes
+    key_weight = Fraction(1, prod(code.key_count for code in codes))
+    m0: dict = {}
+    m1: dict = {}
+    m2: dict = {}
+    for xs in product(*(range(a.m) for a in system.sources)):
+        px = prod(pmfs[i][x] for i, x in enumerate(xs))
+        if px == 0:
+            continue
+        f = sum(prod(term[i][x] for i, x in enumerate(xs)) for term in tables)
+        w = px * key_weight
+        for keys in product(*(range(code.key_count) for code in codes)):
+            g = tuple(codes[i].assignment[keys[i]][x] for i, x in enumerate(xs))
+            m0[g] = m0.get(g, 0) + w
+            m1[g] = m1.get(g, 0) + w * f
+            m2[g] = m2.get(g, 0) + w * f * f
+    mean = sum(m1.values())
+    means = {g: m1[g] / m0[g] for g in m0}
+    return Oracle(
+        mean=mean,
+        d_max=sum(m2.values()) - mean**2,
+        d_ach=sum(m2[g] - m1[g] ** 2 / m0[g] for g in m0),
+        delta=sum(m1[g] ** 2 / m0[g] for g in m0) - mean**2,
+        prob=m0,
+        means=means,
+        secure=all(mu == mean for mu in means.values()),
     )

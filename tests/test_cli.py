@@ -5,10 +5,17 @@ errors surface as SystemExit(2); errors the tool raises itself come back as
 return codes.
 """
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsec import (
     code_from_dict,
@@ -263,14 +270,42 @@ def test_compose_rejects_wrong_version(capsys, tmp_path):
     assert rc == 3
 
 
-def test_compose_state_cap_from_environment(capsys, tmp_path, monkeypatch):
-    path = _write_system(tmp_path)
-    monkeypatch.setenv("DISTSEC_CAP_STATES", "10")
-    rc, _, _ = run(capsys, "compose", "--config", str(path))
+def test_compose_analyses_systems_beyond_a_trillion_states(capsys, tmp_path):
+    # 14 secured sources of 4 values and 2 keys: 8**14 ~ 4.4e12 joint
+    # (value, key) states, analysed from per-source moments alone.
+    n = 14
+    vals, ones = [4, 3, 2, 1], [1, 1, 1, 1]
+    system = {
+        "version": 1,
+        "sources": [{"values": vals}] * n,
+        "codes": [code_to_dict(greedy_code(QUAD, 1))] * n,
+        "function": {
+            "form": "pure-sum",
+            "components": [[vals if i == l else ones for i in range(n)] for l in range(n)],
+        },
+    }
+    path = tmp_path / "system.json"
+    path.write_text(json.dumps(system))
+    rc, out, _ = run(capsys, "compose", "--config", str(path))
+    assert rc == 0
+    row = csv_rows(out)[1]
+    assert row[1:4] == [str(4**n), str(n), "compose"]
+    assert float(row[5]) == n * 1.25
+    assert float(row[7]) == 0.0
+    assert row[12] == "true"
+
+
+@pytest.mark.parametrize("argv", [
+    ("encode", "--alg", "greedy", "--values", "1..4", "--k", "40"),
+    ("encode", "--alg", "exchange", "--values", "1..4", "--k", "18"),
+    ("sweep", "--values", "1..4", "--k", "0..40", "--alg", "greedy"),
+])
+def test_constructions_beyond_the_cap_exit_4(capsys, argv):
+    # m * 2**k above 1,000,000 is refused before any table is built
+    rc, out, err = run(capsys, *argv)
     assert rc == 4
-    monkeypatch.setenv("DISTSEC_CAP_STATES", "ten")
-    rc, _, _ = run(capsys, "compose", "--config", str(path))
-    assert rc == 3
+    assert err.startswith("error:") and "cap" in err
+    assert out == ""
 
 
 def test_simulate_single_source_reproducible(capsys, tmp_path):
@@ -311,6 +346,10 @@ def _bad_system(tmp_path, field, value):
     return ("compose", "--config", str(path))
 
 
+def _bad_sweep_values(tmp_path, field, value):
+    return ("sweep", "--values", value, "--k", "0..1", "--alg", "greedy")
+
+
 def _bad_alphabet_file(tmp_path, field, value):
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps({field: value}))
@@ -326,6 +365,15 @@ def _bad_alphabet_file(tmp_path, field, value):
     (_bad_system, "components", 5),
     (_bad_system, "components", [[5]]),
     (_bad_alphabet_file, "values", [[1], 2]),
+    pytest.param(_bad_code, "k", 2**64, id="huge-k"),
+    pytest.param(_bad_sweep_values, "values", "nan,1,2", id="nan-value"),
+    pytest.param(_bad_system, "components", [[[float("nan"), 3, 2, 1], [1, 1, 1, 1]],
+                                             [[1, 1, 1, 1], [4, 3, 2, 1]]], id="nan-table"),
+    pytest.param(_bad_system, "components", [[[float("inf"), 3, 2, 1], [1, 1, 1, 1]],
+                                             [[1, 1, 1, 1], [4, 3, 2, 1]]], id="inf-table"),
+    pytest.param(_bad_system, "version", True, id="version-true"),
+    # exact, but d_max ~ 1e672 cannot print as a float
+    pytest.param(_bad_sweep_values, "values", f"1,{10**336}", id="int-1e336"),
 ])
 def test_malformed_documents_exit_3(capsys, tmp_path, make, field, value):
     rc, out, err = run(capsys, *make(tmp_path, field, value))
@@ -359,3 +407,88 @@ def test_simulate_rejects_bad_trials(capsys, tmp_path):
     rc, _, _ = run(capsys, "simulate", "--code", str(code_path),
                    "--values", "1,2,3,4", "--trials", "0")
     assert rc == 3
+
+
+# --- fuzzing the system-config boundary --------------------------------------
+
+_FUZZ_BASE = {
+    "version": 1,
+    "sources": [{"values": [4, 3, 2, 1]}, {"values": [1, 2], "pmf": ["1/3", "2/3"]}],
+    "codes": [code_to_dict(greedy_code(QUAD, 1)), {"path": "code.json"}],
+    "function": {
+        "form": "general-sum-of-products",
+        "components": [[[4, 3, 2, 1], [1, 1]], [[1, 1, 1, 1], [2, 5]]],
+    },
+}
+_NUMBER = st.one_of(
+    st.integers(-10, 10),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([True, 2**64, -(10**400), 10**400, "1/3", "-7/2", "1/0"]),
+)
+_JSON = st.recursive(
+    st.one_of(st.none(), _NUMBER, st.text(max_size=4)),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=8,
+)
+
+
+def _locations(doc, prefix=()):
+    """Paths to every value nested inside a JSON document."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield prefix + (key,), value
+        yield from _locations(value, prefix + (key,))
+
+
+def _mutate(doc, data):
+    """One to three edits: mostly a number swapped for another, sometimes any
+    JSON value swapped in, a value deleted, or a value wrapped in a list."""
+    for _ in range(data.draw(st.integers(1, 3))):
+        action = data.draw(st.sampled_from(["number"] * 3 + ["any", "delete", "wrap"]))
+        locations = [
+            path for path, value in _locations(doc)
+            if action != "number" or not isinstance(value, (list, dict))
+        ]
+        *parents, key = data.draw(st.sampled_from(locations))
+        holder = doc
+        for step in parents:
+            holder = holder[step]
+        if action == "number":
+            holder[key] = data.draw(_NUMBER)
+        elif action == "any":
+            holder[key] = data.draw(_JSON)
+        elif action == "wrap":
+            holder[key] = [holder[key]]
+        else:
+            del holder[key]
+    return doc
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(["compose", "simulate"]), exact=st.booleans())
+def test_mutated_system_configs_exit_cleanly(data, command, exact):
+    doc = _mutate(copy.deepcopy(_FUZZ_BASE), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        code = code_to_dict(greedy_code(make_alphabet([1, 2]), 1))
+        Path(tmp, "code.json").write_text(json.dumps(code))
+        path = Path(tmp, "system.json")
+        path.write_text(json.dumps(doc))
+        if command == "compose":
+            argv = ["compose", "--config", str(path)]
+        else:
+            argv = ["simulate", "--system", str(path), "--trials", "64"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv + (["--exact"] if exact else []))
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert err.getvalue().startswith("error:"), err.getvalue()
+    else:
+        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()

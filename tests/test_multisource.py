@@ -5,9 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import random_code, random_exact_alphabet
+from conftest import exact_oracle, joint_oracle, random_code, random_exact_alphabet
 from distsec import (
-    CapExceededError,
     JointSystem,
     SeparableFunction,
     SimConfig,
@@ -17,7 +16,6 @@ from distsec import (
     greedy_code,
     identity_code,
     is_perfectly_secure,
-    joint_delta_factorized,
     joint_distortion,
     make_alphabet,
     necessity_witness,
@@ -160,28 +158,81 @@ def test_unsecured_component_fails_sufficiency():
 
 
 def test_factorized_delta_matches_full_enumeration():
+    # Random exact systems with up to three terms and bins to spare (r > m):
+    # the per-source composition must equal the product-space enumeration
+    # exactly, and so must a witness's conditional mean at its tuple.
     rng = np.random.default_rng(23)
-    for _ in range(25):
+    verdicts, witnesses = set(), 0
+    for trial in range(60):
         n = int(rng.integers(1, 4))
         sources, codes = [], []
         for _ in range(n):
             m = int(rng.integers(2, 4))
             sources.append(random_exact_alphabet(rng, m, nonuniform=bool(rng.integers(2))))
-            codes.append(random_code(rng, m, int(rng.integers(0, 3)), m + 1))
-        L = int(rng.integers(1, 3))
-        components = tuple(
-            tuple(
-                tuple(int(t) for t in rng.integers(-3, 4, size=sources[i].m))
-                for i in range(n)
+            codes.append(random_code(rng, m, int(rng.integers(0, 3)), m + int(rng.integers(1, 3))))
+
+        def table(i):
+            if rng.integers(3) == 0:  # constant factors are secured by any code
+                return (int(rng.integers(-3, 4)),) * sources[i].m
+            return tuple(int(t) for t in rng.integers(-3, 4, size=sources[i].m))
+
+        form = ("general-sum-of-products", "pure-sum", "pure-product")[trial % 3]
+        if form == "pure-sum":
+            function = sum_function([table(i) for i in range(n)])
+        elif form == "pure-product":
+            function = product_function([table(i) for i in range(n)])
+        else:
+            L = int(rng.integers(1, 4))
+            function = SeparableFunction(
+                n=n, components=tuple(tuple(table(i) for i in range(n)) for _ in range(L))
             )
-            for _ in range(L)
+        system = JointSystem(sources=tuple(sources), codes=tuple(codes), function=function)
+        oracle = joint_oracle(system)
+        report = joint_distortion(system)
+        assert (report.d_max, report.d_ach, report.delta) == (
+            oracle.d_max, oracle.d_ach, oracle.delta
         )
-        system = JointSystem(
-            sources=tuple(sources),
-            codes=tuple(codes),
-            function=SeparableFunction(n=n, components=components),
+        assert report.perfectly_secure == oracle.secure
+        verdicts.add(oracle.secure)
+        if form == "general-sum-of-products":
+            continue
+        factors = [
+            function.components[i if form == "pure-sum" else 0][i] for i in range(n)
+        ]
+        for u in range(n):
+            if exact_oracle(codes[u], sources[u], factors[u]).secure:
+                continue
+            witness = necessity_witness(system, u)
+            if witness.status != "found":
+                continue
+            witnesses += 1
+            assert witness.conditional_mean == oracle.means[witness.observation]
+            assert witness.function_mean == oracle.mean
+            assert witness.joint_delta == oracle.delta
+    assert verdicts == {True, False}
+    assert witnesses > 0
+
+
+def test_float_product_over_large_offsets_matches_exact():
+    # f = X0 * X1 on 1e8+{1..4}: the products reach 1e16, past the float
+    # mantissa, and the advantage is a small difference of such numbers.
+    exact = make_alphabet([10**8 + i for i in range(1, 5)], [Fraction(i, 10) for i in range(1, 5)])
+    floats = make_alphabet([1e8 + i for i in range(1, 5)], [i / 10 for i in range(1, 5)])
+    codes = (greedy_code(exact, 1), identity_code(4))
+
+    def system(alphabet):
+        return JointSystem(
+            sources=(alphabet, alphabet),
+            codes=codes,
+            function=product_function([alphabet.values, alphabet.values]),
         )
-        assert joint_delta_factorized(system) == joint_distortion(system).delta
+
+    want = joint_distortion(system(exact))
+    got = joint_distortion(system(floats))
+    assert want.delta > 0
+    for name in ("d_max", "d_ach", "delta"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-9 * want.d_max
+    assert got.perfectly_secure == want.perfectly_secure
 
 
 def test_sum_witness_anchor():
@@ -228,11 +279,3 @@ def test_witness_preconditions():
     )
     with pytest.raises(ValueError, match="pure-sum and pure-product"):
         necessity_witness(_two_source_system(general, code0=identity_code(4)), 0)
-
-
-def test_state_space_cap_is_enforced():
-    system = _two_source_system(sum_function([VALS, VALS]))
-    assert system.state_count() == 64
-    with pytest.raises(CapExceededError):
-        joint_distortion(system, max_states=63)
-    joint_distortion(system, max_states=64)
