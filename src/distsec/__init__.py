@@ -28,13 +28,11 @@ from .encoders import (
     identity_code,
 )
 from .model import (
-    BinStatistics,
     CapExceededError,
     KeyedCode,
     SourceAlphabet,
     alphabet_from_dict,
     alphabet_to_dict,
-    bin_statistics,
     code_from_dict,
     code_to_dict,
     decode,
@@ -58,7 +56,6 @@ from .simulation import SimConfig, SimReport, simulate
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinStatistics",
     "Binning",
     "CapExceededError",
     "DistortionReport",
@@ -75,7 +72,6 @@ __all__ = [
     "achievable_distortion",
     "alphabet_from_dict",
     "alphabet_to_dict",
-    "bin_statistics",
     "bound_report",
     "brute_force_optimal",
     "check_sufficiency",

@@ -29,6 +29,7 @@ from .model import (
     code_from_dict,
     code_to_dict,
     make_alphabet,
+    parse_rational,
     scalar_from_json,
 )
 from .multisource import JointSystem, SeparableFunction, joint_distortion
@@ -77,7 +78,7 @@ def _fmt_flag(b) -> str:
     return "true" if b else "false"
 
 
-def _parse_seed(text: str) -> int:
+def _parse_seed(text) -> int:
     value = int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
@@ -92,9 +93,9 @@ def _parse_token(tok: str, exact: bool):
         pass
     if "/" in tok or exact:
         try:
-            return Fraction(tok)
-        except (ValueError, ZeroDivisionError) as e:
-            raise CliError(3, f"bad numeric literal {tok!r}") from e
+            return parse_rational(tok)
+        except ValueError as e:
+            raise CliError(3, str(e)) from e
     try:
         return float(tok)
     except ValueError as e:
@@ -118,6 +119,10 @@ def _parse_int_range(text: str) -> list[int]:
             raise CliError(3, f"bad range {text!r}") from e
         if hi < lo:
             raise CliError(3, f"empty range {text!r}")
+        if hi - lo + 1 > CONSTRUCTION_CAP:
+            raise CapExceededError(
+                f"range {text!r} has {hi - lo + 1} entries, above the cap of {CONSTRUCTION_CAP}"
+            )
         return list(range(lo, hi + 1))
     try:
         return [int(tok) for tok in text.split(",")]
@@ -129,12 +134,14 @@ def _read_json(path: str, exact: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if exact:
-                return json.load(fh, parse_float=Fraction)
+                return json.load(fh, parse_float=parse_rational)
             return json.load(fh)
     except OSError as e:
         raise CliError(3, f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise CliError(3, f"{path} is not valid JSON: {e}") from e
+    except ValueError as e:
+        raise CliError(3, f"{path}: {e}") from e
 
 
 def _load_alphabet(args) -> SourceAlphabet:
@@ -152,10 +159,7 @@ def _load_alphabet(args) -> SourceAlphabet:
             except ValueError as e:
                 raise CliError(3, f"{text[1:]}: {e}") from e
         if ".." in text and "," not in text:
-            lo, _, hi = text.partition("..")
-            values = list(range(int(lo), int(hi) + 1))
-            if not values:
-                raise CliError(3, f"empty value range {text!r}")
+            values = _parse_int_range(text)
         else:
             values = _parse_number_list(text, args.exact)
         return make_alphabet(values, pmf)
@@ -420,7 +424,12 @@ def _cmd_sweep(args) -> int:
     for alg in algs:
         if alg not in ("greedy", "exchange", "identity"):
             raise CliError(2, f"unknown algorithm {alg!r}")
-    seeds = _parse_int_range(args.seeds) if args.seeds else [args.seed]
+    seeds = [args.seed]
+    if args.seeds:
+        try:
+            seeds = [_parse_seed(seed) for seed in _parse_int_range(args.seeds)]
+        except argparse.ArgumentTypeError as e:
+            raise CliError(2, f"argument --seeds: {e}") from e
     keyed = any(alg != "identity" for alg in algs)
     _check_construction(alphabet.m, max(ks) if keyed else 0)
 

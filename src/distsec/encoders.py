@@ -92,7 +92,6 @@ def exchange_binning(
     k: int,
     r: int | None = None,
     seed: int = 0,
-    sum_sq_trace: list | None = None,
 ) -> Binning:
     """Randomly partition 2**k copies of the alphabet, then repair by swaps.
 
@@ -105,7 +104,8 @@ def exchange_binning(
     the bin sums, the change is -2(a-b)(S_i - S_j - (a-b)), and with equal
     bin sizes a - b is positive yet at most d < S_i - S_j.  The state space
     is finite, so the loop terminates, with every final bin sum inside
-    [mean_sum - d, mean_sum + d].
+    [mean_sum - d, mean_sum + d].  The bin sums are taken once up front and
+    each swap re-sums only the two bins it touches.
 
     Only r = m is supported: equal-size bins are what make the improving
     swap available, and r = m is the shape the completion step and the
@@ -116,8 +116,6 @@ def exchange_binning(
         k: key bits; each bin receives exactly 2**k copies.
         r: bin count; None means m, anything else is rejected.
         seed: fixes the initial random partition, and with it the result.
-        sum_sq_trace: debug hook; when a list is passed, the sum of squared
-            bin sums is appended before the first swap and after every swap.
     """
     if k < 0:
         raise ValueError("key bit count must be >= 0")
@@ -140,14 +138,8 @@ def exchange_binning(
 
     values = alphabet.values
     d = alphabet.spread
-
-    def bin_sums():
-        return [sum(values[v] for v in content) for content in bins]
-
-    if sum_sq_trace is not None:
-        sum_sq_trace.append(sum(s * s for s in bin_sums()))
+    sums = [sum(values[v] for v in content) for content in bins]
     for _ in range(_SWAP_LIMIT):
-        sums = bin_sums()
         hi = max(range(m), key=lambda j: (sums[j], -j))
         lo = min(range(m), key=lambda j: (sums[j], j))
         if sums[hi] - sums[lo] <= d:
@@ -160,8 +152,10 @@ def exchange_binning(
         bins[lo].pop()
         insort(bins[hi], b)
         insort(bins[lo], a)
-        if sum_sq_trace is not None:
-            sum_sq_trace.append(sum(s * s for s in bin_sums()))
+        # Re-summed from the contents, not adjusted by a - b, so a float sum
+        # is bit-identical to a fresh one and no swap decision drifts.
+        for j in (hi, lo):
+            sums[j] = sum(values[v] for v in bins[j])
     else:
         raise RuntimeError("swap loop failed to settle within the iteration guard")
     return Binning(m=m, bins=tuple(tuple(content) for content in bins))

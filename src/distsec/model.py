@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 Scalar = int | float | Fraction
@@ -228,45 +228,6 @@ def decode(code: KeyedCode, key: int, bin_index: int) -> int:
     raise ValueError(f"bin {bin_index} is not used by key {key}")
 
 
-@dataclass(frozen=True)
-class BinStatistics:
-    """Exact occupancy and value-sum tallies for a code on an alphabet.
-
-    ``occupancy[i][j]`` counts the keys sending value i to bin j; ``counts[j]``
-    and ``sums[j]`` are the element count and value sum of bin j including
-    multiplicity.
-    """
-
-    counts: tuple[int, ...]
-    sums: tuple[Scalar, ...]
-    occupancy: tuple[tuple[int, ...], ...]
-
-
-def bin_statistics(code: KeyedCode, alphabet: SourceAlphabet) -> BinStatistics:
-    """Tally occupancy, element counts and value sums per bin.
-
-    Conservation invariants (asserted by the test suite, not here): counts
-    sum to ``m * 2**k``, each value row of the occupancy matrix sums to
-    ``2**k``, and the grand total of sums equals ``2**k * sum(values)``.
-    """
-    if alphabet.m != code.m:
-        raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
-    occ = [[0] * code.r for _ in range(code.m)]
-    for row in code.assignment:
-        for v, b in enumerate(row):
-            occ[v][b] += 1
-    counts = tuple(sum(occ[v][b] for v in range(code.m)) for b in range(code.r))
-    sums = tuple(
-        sum(alphabet.values[v] * occ[v][b] for v in range(code.m) if occ[v][b])
-        for b in range(code.r)
-    )
-    return BinStatistics(
-        counts=counts,
-        sums=sums,
-        occupancy=tuple(tuple(r) for r in occ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # JSON-friendly serialization.  Ints stay ints, floats stay floats, Fractions
 # become "p/q" strings so the exact domain survives a round trip through a
@@ -280,12 +241,28 @@ def scalar_to_json(x: Scalar):
     return x
 
 
+MAX_EXPONENT = 10**4
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse an integer, decimal or p/q literal exactly, or raise ValueError.
+
+    Fraction builds 10**exponent, whose cost grows without bound, so an
+    exponent of magnitude above MAX_EXPONENT is refused before it sees one.
+    """
+    _, e, exponent = text.lower().partition("e")
+    digits = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    if e and digits.isdigit() and (len(digits) > 5 or int(digits) > MAX_EXPONENT):
+        raise ValueError(f"exponent of {text!r} exceeds 10**4 in magnitude")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ValueError(f"bad rational literal {text!r}") from e
+
+
 def scalar_from_json(x) -> Scalar:
     if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as e:
-            raise ValueError(f"bad rational literal {x!r}") from e
+        return parse_rational(x)
     if isinstance(x, bool) or not isinstance(x, numbers.Real):
         raise ValueError(f"expected a number, got {x!r}")
     return _coerce_scalar(x, "value")

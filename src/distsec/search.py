@@ -10,7 +10,10 @@ keys and bins, and the binning space is factorially smaller.
 Partitions are generated as lexicographically sorted bin sequences (each bin
 an ascending tuple, bins non-decreasing), which visits every partition
 exactly once; the next bin always contains the smallest remaining index,
-since any later bin containing it would sort in front.
+since any later bin containing it would sort in front.  A bin of n copies
+with centred sum S scores S^2 / n; exact alphabets score it in integers, as
+(D S)^2 (L // n) for D the lcm of the centred values' denominators and
+L = lcm(1..2**k), and divide by L D^2 once at the end.
 
 Pruning (on by default) drops any partial partition with two bins of at most
 2**(k-1) elements: two such bins can be merged into one legal bin, and
@@ -23,36 +26,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
+from .analysis import _over_common_denominator
 from .encoders import Binning, complete_key_assignment
 from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, arithmetic_view
 
 
 @dataclass(frozen=True)
 class StructureReport:
-    """Degree and shape properties expected of advantage-minimal codes.
+    """Shape properties expected of advantage-minimal codes, beyond the
+    degree properties every KeyedCode enforces (one assignment per value
+    and key, hence at most 2**k pairs per bin).
 
-    value_degree_ok: every value index has one assignment per key.
-    bin_degree_ok: no bin collects more than 2**k (value, key) pairs.
     at_most_one_light_bin: at most one nonempty bin holds <= 2**(k-1)
         elements (otherwise two light bins could be merged at no cost).
     bin_count_in_range: the nonempty bin count r satisfies m <= r < 2m
         (forced by the degree properties plus the light-bin rule).
     """
 
-    value_degree_ok: bool
-    bin_degree_ok: bool
     at_most_one_light_bin: bool
     bin_count_in_range: bool
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.value_degree_ok
-            and self.bin_degree_ok
-            and self.at_most_one_light_bin
-            and self.bin_count_in_range
-        )
+        return self.at_most_one_light_bin and self.bin_count_in_range
 
 
 def verify_structure(code: KeyedCode) -> StructureReport:
@@ -61,21 +59,14 @@ def verify_structure(code: KeyedCode) -> StructureReport:
     Works from the assignment table alone.  Bin counts consider nonempty
     bins; declared-but-unused bins are unobservable and carry no structure.
     """
-    keys = code.key_count
-    value_degree_ok = len(code.assignment) == keys and all(
-        len(row) == code.m for row in code.assignment
-    )
     load = [0] * code.r
     for row in code.assignment:
         for b in row:
             load[b] += 1
     nonempty = [n for n in load if n > 0]
-    bin_degree_ok = all(n <= keys for n in nonempty)
-    light = sum(1 for n in nonempty if 2 * n <= keys)
+    light = sum(1 for n in nonempty if 2 * n <= code.key_count)
     r = len(nonempty)
     return StructureReport(
-        value_degree_ok=value_degree_ok,
-        bin_degree_ok=bin_degree_ok,
         at_most_one_light_bin=light <= 1,
         bin_count_in_range=code.m <= r < 2 * code.m,
     )
@@ -150,85 +141,68 @@ def brute_force_optimal(
     values, _ = arithmetic_view(alphabet)
     mean = sum(values) / m
     values = [v - mean for v in values]
-    total = m * cap
+    exact = alphabet.exact
+    if exact:
+        values, denom = _over_common_denominator(values)
+        scale = lcm(*range(1, cap + 1))
 
     remaining = [cap] * m
-    state = {
-        "examined": 0,
-        "pruned": 0,
-        "best_q": None,
-        "best_code": None,
-        "best_table": None,
-    }
+    bins: list[tuple[int, ...]] = []
+    examined = pruned = 0
+    best = None  # (score, completed table, code); the smaller pair wins
 
-    def bin_candidates(lowest: int, prev: tuple[int, ...]):
-        """Ascending tuples starting at ``lowest``, within remaining counts,
-        at least ``prev``, with their value sums."""
-        out = []
-
-        def grow(content: list[int], last: int, s):
-            out.append((tuple(content), s))
-            if len(content) == cap:
-                return
-            for v in range(last, m):
-                if remaining[v] > 0:
-                    remaining[v] -= 1
-                    content.append(v)
-                    grow(content, v, s + values[v])
-                    content.pop()
-                    remaining[v] += 1
-
-        remaining[lowest] -= 1
-        grow([lowest], lowest, values[lowest])
-        remaining[lowest] += 1
-        return [(c, s) for (c, s) in out if c >= prev]
-
-    def challenge(bins: list[tuple[int, ...]], q) -> None:
-        if r_lo > len(bins):
-            return  # below the requested bin-count range
-        state["examined"] += 1
-        best_q = state["best_q"]
-        if best_q is not None and q > best_q:
+    def contents(grown: tuple[int, ...], s, prev: tuple[int, ...]):
+        """Ascending tuples extending ``grown`` within the remaining counts,
+        in lexicographic order and at least ``prev``, with their value sums."""
+        if grown >= prev:
+            yield grown, s
+        if len(grown) == cap:
             return
-        code = complete_key_assignment(Binning(m=m, bins=tuple(bins)), k)
-        table = code.assignment
-        if best_q is None or q < best_q or table < state["best_table"]:
-            state["best_q"] = q
-            state["best_code"] = code
-            state["best_table"] = table
+        for v in range(grown[-1], m):
+            nxt = grown + (v,)
+            if remaining[v] >= nxt.count(v) and nxt >= prev[: len(nxt)]:
+                yield from contents(nxt, s + values[v], prev)
 
-    def extend(bins: list[tuple[int, ...]], left: int, q, light: int) -> None:
+    def walk(left: int, q, light: int) -> None:
+        nonlocal examined, pruned, best
         if left == 0:
-            challenge(bins, q)
+            if len(bins) < r_lo:
+                return  # below the requested bin-count range
+            examined += 1
+            if best is None or q <= best[0]:
+                code = complete_key_assignment(Binning(m=m, bins=tuple(bins)), k)
+                if best is None or (q, code.assignment) < best[:2]:
+                    best = (q, code.assignment, code)
             return
         if len(bins) >= r_hi - 1:
             return  # bin budget exhausted with copies still unplaced
         lowest = next(v for v in range(m) if remaining[v] > 0)
         prev = bins[-1] if bins else ()
-        for content, s in bin_candidates(lowest, prev):
+        for content, s in contents((lowest,), values[lowest], prev):
             n = len(content)
             new_light = light + (1 if 2 * n <= cap else 0)
             if prune and new_light > 1:
-                state["pruned"] += 1
+                pruned += 1
                 continue
             if left - n > (r_hi - 1 - len(bins) - 1) * cap:
                 continue  # remaining copies cannot fit behind this choice
             for v in content:
                 remaining[v] -= 1
             bins.append(content)
-            extend(bins, left - n, q + s * s / n, light=new_light)
+            walk(left - n, q + (s * s * (scale // n) if exact else s * s / n), new_light)
             bins.pop()
             for v in content:
                 remaining[v] += 1
 
-    extend([], total, Fraction(0) if alphabet.exact else 0.0, 0)
-    if state["best_code"] is None:
+    walk(m * cap, 0 if exact else 0.0, 0)
+    if best is None:
         raise ValueError(f"no decodable code exists within bin-count range {r_range}")
-    best_delta = state["best_q"] / (cap * m)
+    best_q, _, best_code = best
+    best_delta = (Fraction(best_q, scale * denom * denom) if exact else best_q) / (cap * m)
     return SearchResult(
-        best_code=state["best_code"],
+        best_code=best_code,
         best_delta=best_delta,
-        candidates_examined=state["examined"],
-        pruned=state["pruned"],
+        candidates_examined=examined,
+        pruned=pruned,
         exhaustive=True,
     )

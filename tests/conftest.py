@@ -6,6 +6,7 @@ modules that use them.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -13,7 +14,7 @@ from math import prod
 
 import numpy as np
 
-from distsec import Binning, KeyedCode, SourceAlphabet, bin_statistics, make_alphabet
+from distsec import Binning, KeyedCode, SourceAlphabet, make_alphabet
 
 
 def random_code(rng: np.random.Generator, m: int, k: int, r: int) -> KeyedCode:
@@ -47,15 +48,44 @@ def random_float_alphabet(
     return make_alphabet(values, list(weights / weights.sum()))
 
 
-def binning_of(code: KeyedCode, alphabet: SourceAlphabet) -> Binning:
-    """Recover the bin-content view of a code (nonempty bins only)."""
-    occ = bin_statistics(code, alphabet).occupancy
-    bins = []
-    for j in range(code.r):
-        content = [v for v in range(code.m) for _ in range(occ[v][j])]
-        if content:
-            bins.append(tuple(content))
-    return Binning(m=code.m, bins=tuple(bins))
+def binning_of(code: KeyedCode, alphabet: SourceAlphabet | None = None) -> Binning:
+    """Recover the bin-content view of a code (nonempty bins, by index),
+    read from the assignment table alone; ``alphabet`` is not consulted."""
+    contents = [[] for _ in range(code.r)]
+    for row in code.assignment:
+        for v, b in enumerate(row):
+            contents[b].append(v)
+    return Binning(m=code.m, bins=tuple(tuple(sorted(c)) for c in contents if c))
+
+
+def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
+    """The exchange repair loop with every bin sum recomputed after every
+    swap: the reference the library's loop must match swap for swap.
+
+    Returns the binning and the sum of squared bin sums before the first
+    swap and after each one.
+    """
+    m, copies = alphabet.m, 2**k
+    rng = np.random.default_rng(seed)
+    shuffled = rng.permutation(np.repeat(np.arange(m), copies))
+    bins = [sorted(int(v) for v in shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
+    values, d = alphabet.values, alphabet.spread
+    trace = []
+    for _ in range(1_000_000):
+        sums = [sum(values[v] for v in content) for content in bins]
+        trace.append(sum(s * s for s in sums))
+        hi = max(range(m), key=lambda j: (sums[j], -j))
+        lo = min(range(m), key=lambda j: (sums[j], j))
+        a, b = bins[hi][0], bins[lo][-1]
+        if sums[hi] - sums[lo] <= d or not values[a] > values[b]:
+            break
+        bins[hi].pop(0)
+        bins[lo].pop()
+        insort(bins[hi], b)
+        insort(bins[lo], a)
+    else:
+        raise RuntimeError("reference swap loop did not settle")
+    return Binning(m=m, bins=tuple(tuple(c) for c in bins)), trace
 
 
 @dataclass(frozen=True)

@@ -180,6 +180,8 @@ def test_table_posterior_means_on_a_transformed_payoff():
     assert means == (Fraction(17, 2), Fraction(13, 2), Fraction(13, 2), Fraction(17, 2))
     with pytest.raises(ValueError):
         table_posterior_means(code, QUAD, [1, 2, 3])
+    with pytest.raises(ValueError, match="code expects"):
+        table_posterior_means(code, make_alphabet([1, 2, 3]), [1, 2, 3])
 
 
 def test_perfect_security_tolerance_paths():

@@ -9,6 +9,9 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distsec
 from distsec import (
     code_from_dict,
     code_to_dict,
@@ -34,6 +38,25 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_bounded(*argv, seconds=30):
+    """Run the CLI in a child process, killed (and the test failed) after
+    ``seconds``: for inputs that could hang an in-process run."""
+    src = str(Path(distsec.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "distsec.cli", *argv],
+        capture_output=True, text=True, timeout=seconds,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+
+
+def main_quiet(argv):
+    """``main`` with stdout and stderr captured, for use inside hypothesis."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, out.getvalue(), err.getvalue()
 
 
 def csv_rows(text):
@@ -221,6 +244,59 @@ def test_sweep_rejects_bad_grid(capsys):
     assert rc == 3
     rc, _, _ = run(capsys, "sweep", "--values", "1..4", "--k", "1", "--alg", "sneaky")
     assert rc == 2
+
+
+@pytest.mark.parametrize("alg, seeds", [
+    ("greedy", "18446744073709551616,-3"),
+    ("exchange", "-3"),
+    ("greedy", f"{2**64 - 2}..{2**64}"),
+])
+def test_sweep_seeds_fit_in_64_bits(capsys, alg, seeds):
+    rc, out, err = run(capsys, "sweep", "--values", "1..4", "--k", "1",
+                       "--alg", alg, "--seeds", seeds)
+    assert (rc, out) == (2, "")
+    assert err == "error: argument --seeds: seed must fit in 64 bits\n"
+    rc, out, _ = run(capsys, "sweep", "--values", "1..4", "--k", "1",
+                     "--alg", alg, "--seeds", str(2**64 - 1))
+    assert rc == 0 and csv_rows(out)[1][4] == str(2**64 - 1)
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--k", "--values"])
+def test_ranges_beyond_the_cap_exit_4_before_they_are_built(capsys, flag):
+    # A list this long would exhaust memory if it were built before the check.
+    argv = {"--values": "1..4", "--k": "1", "--alg": "greedy"}
+    argv[flag] = f"0..{10**12}"
+    rc, out, err = run(capsys, "sweep", *(x for item in argv.items() for x in item))
+    assert (rc, out) == (4, "")
+    assert err.startswith("error: range") and "cap" in err
+
+
+def _huge_exponent_token(tmp_path):
+    return ("encode", "--alg", "identity", "--values", "1e999999999,2", "--exact")
+
+
+def _huge_exponent_json_float(tmp_path):
+    path = tmp_path / "alpha.json"
+    path.write_text('{"values": [1e-999999999, 2]}')
+    return ("encode", "--alg", "identity", "--values", f"@{path}", "--exact")
+
+
+def _huge_exponent_json_string(tmp_path):
+    path = _write_system(tmp_path)
+    doc = json.loads(path.read_text())
+    doc["function"]["components"][0][1][0] = "3e999999999"
+    path.write_text(json.dumps(doc))
+    return ("compose", "--config", str(path))
+
+
+@pytest.mark.parametrize("make", [
+    _huge_exponent_token, _huge_exponent_json_float, _huge_exponent_json_string,
+])
+def test_huge_exponents_exit_3_without_parsing(tmp_path, make):
+    # Parsing these as Fractions would not finish.
+    done = run_bounded(*make(tmp_path))
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error:") and "exceeds 10**4" in done.stderr
 
 
 def _write_system(tmp_path, code0_doc=None):
@@ -456,6 +532,8 @@ def _mutate(doc, data):
             path for path, value in _locations(doc)
             if action != "number" or not isinstance(value, (list, dict))
         ]
+        if not locations:
+            break  # everything deletable is gone
         *parents, key = data.draw(st.sampled_from(locations))
         holder = doc
         for step in parents:
@@ -484,11 +562,37 @@ def test_mutated_system_configs_exit_cleanly(data, command, exact):
             argv = ["compose", "--config", str(path)]
         else:
             argv = ["simulate", "--system", str(path), "--trials", "64"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = main(argv + (["--exact"] if exact else []))
+        rc, out, err = main_quiet(argv + (["--exact"] if exact else []))
     assert rc in (0, 2, 3, 4)
     if rc:
-        assert err.getvalue().startswith("error:"), err.getvalue()
+        assert err.startswith("error:"), err
     else:
-        assert "nan" not in out.getvalue() and "inf" not in out.getvalue()
+        assert "nan" not in out and "inf" not in out
+
+
+_FUZZ_DOCUMENTS = {
+    "code": code_to_dict(greedy_code(QUAD, 1)),
+    "alphabet": {"values": [4, "7/2", 2.5, 1], "pmf": ["1/4", 0.25, "1/4", "1/4"]},
+}
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), kind=st.sampled_from(sorted(_FUZZ_DOCUMENTS)),
+       command=st.sampled_from(["analyze", "simulate"]), exact=st.booleans())
+def test_mutated_code_and_alphabet_documents_exit_cleanly(data, kind, command, exact):
+    doc = _mutate(copy.deepcopy(_FUZZ_DOCUMENTS[kind]), data)
+    with tempfile.TemporaryDirectory() as tmp:
+        good = Path(tmp, "code.json")
+        good.write_text(json.dumps(_FUZZ_DOCUMENTS["code"]))
+        path = Path(tmp, "doc.json")
+        path.write_text(json.dumps(doc))
+        code, values = (path, "1,2,3,4") if kind == "code" else (good, f"@{path}")
+        argv = [command, "--code", str(code), "--values", values]
+        if command == "simulate":
+            argv += ["--trials", "64"]
+        rc, out, err = main_quiet(argv + (["--exact"] if exact else []))
+    assert rc in (0, 2, 3, 4)
+    if rc:
+        assert err.startswith("error:"), err
+    else:
+        assert "nan" not in out and "inf" not in out

