@@ -210,15 +210,29 @@ def is_perfectly_secure(
     return _bin_moments(code, alphabet).secure(tol)
 
 
+def decay_bounds(
+    alphabet: SourceAlphabet, k: int, d_max: Scalar
+) -> tuple[Scalar, Scalar] | None:
+    """The two decay bounds on the advantage of a k-bit code,
+    (d_max / 2**k, spread^2 / 2**(2k)), or None for a non-uniform source,
+    where they are not stated.  Exact on an exact alphabet."""
+    if not alphabet.is_uniform():
+        return None
+    keys = Fraction(2**k) if alphabet.exact else 2**k
+    spread = alphabet.spread
+    return d_max / keys, spread * spread / keys**2
+
+
 @dataclass(frozen=True)
 class DistortionReport:
     """One code's distortion picture.
 
     ``bound1_ok`` checks advantage <= d_max / 2**k and ``bound2_ok`` checks
-    advantage <= spread^2 / 2**(2k); both are None when not applicable (the
-    guarantees are stated for uniform single sources, so non-uniform and
-    composed reports carry None).  ``spread`` is the value spread of a single
-    source and None for a composed system.
+    advantage <= spread^2 / 2**(2k), the pair ``decay_bounds`` gives; both
+    are None when not applicable (the guarantees are stated for uniform
+    single sources, so non-uniform and composed reports carry None).
+    ``spread`` is the value spread of a single source and None for a
+    composed system.
     """
 
     d_max: Scalar
@@ -243,14 +257,13 @@ def bound_report(
     d_max = max_distortion(alphabet)
     delta = mom.advantage()
     spread = alphabet.spread
-    if alphabet.is_uniform():
-        slack = Fraction(tol) if alphabet.exact else tol
-        keys = Fraction(code.key_count) if alphabet.exact else code.key_count
-        bound1_ok = delta <= d_max / keys + slack * d_max
-        bound2_ok = delta <= spread * spread / keys**2 + slack * spread * spread
+    bounds = decay_bounds(alphabet, code.k, d_max)
+    if bounds is None:
+        bound1_ok = bound2_ok = None
     else:
-        bound1_ok = None
-        bound2_ok = None
+        slack = Fraction(tol) if alphabet.exact else tol
+        bound1_ok = delta <= bounds[0] + slack * d_max
+        bound2_ok = delta <= bounds[1] + slack * spread * spread
     return DistortionReport(
         d_max=d_max,
         d_ach=d_max - delta,

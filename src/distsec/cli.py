@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage errors, 3 malformed input (files, configs,
-incompatible parameters, numbers that are not finite or whose results do not
-fit a float), 4 desk-scale cap exceeded, 1 unexpected failure.
+Exit codes follow the exception type alone: 0 success, 2 usage errors
+(CliError), 3 malformed input (ValueError: files, configs, incompatible
+parameters, numbers that are not finite or whose results do not fit a
+float), 4 desk-scale cap exceeded (CapExceededError), 1 unexpected failure.
 Runs with identical flags and seeds write byte-identical output.
 """
 
@@ -18,7 +19,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .analysis import bound_report
+from .analysis import bound_report, decay_bounds
 from .encoders import complete_key_assignment, exchange_binning, greedy_code, identity_code
 from .model import (
     CapExceededError,
@@ -33,7 +34,7 @@ from .model import (
     scalar_from_json,
 )
 from .multisource import JointSystem, SeparableFunction, joint_distortion
-from .search import brute_force_optimal
+from .search import MAX_K, MAX_M, brute_force_optimal
 from .simulation import SimConfig, simulate
 
 # Largest m * 2**k (value, key) table a construction may build.  Exchange
@@ -57,9 +58,7 @@ REPORT_COLUMNS = [
 
 
 class CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """A usage error: missing or clashing arguments (exit 2)."""
 
 
 def _fmt(x) -> str:
@@ -92,19 +91,16 @@ def _parse_token(tok: str, exact: bool):
     except ValueError:
         pass
     if "/" in tok or exact:
-        try:
-            return parse_rational(tok)
-        except ValueError as e:
-            raise CliError(3, str(e)) from e
+        return parse_rational(tok)
     try:
         return float(tok)
     except ValueError as e:
-        raise CliError(3, f"bad numeric literal {tok!r}") from e
+        raise ValueError(f"bad numeric literal {tok!r}") from e
 
 
 def _parse_number_list(text: str, exact: bool) -> list:
     if not text.strip():
-        raise CliError(3, "empty number list")
+        raise ValueError("empty number list")
     return [_parse_token(tok, exact) for tok in text.split(",")]
 
 
@@ -116,9 +112,9 @@ def _parse_int_range(text: str) -> list[int]:
         try:
             lo, hi = int(lo), int(hi)
         except ValueError as e:
-            raise CliError(3, f"bad range {text!r}") from e
+            raise ValueError(f"bad range {text!r}") from e
         if hi < lo:
-            raise CliError(3, f"empty range {text!r}")
+            raise ValueError(f"empty range {text!r}")
         if hi - lo + 1 > CONSTRUCTION_CAP:
             raise CapExceededError(
                 f"range {text!r} has {hi - lo + 1} entries, above the cap of {CONSTRUCTION_CAP}"
@@ -127,7 +123,7 @@ def _parse_int_range(text: str) -> list[int]:
     try:
         return [int(tok) for tok in text.split(",")]
     except ValueError as e:
-        raise CliError(3, f"bad integer list {text!r}") from e
+        raise ValueError(f"bad integer list {text!r}") from e
 
 
 def _read_json(path: str, exact: bool):
@@ -137,41 +133,31 @@ def _read_json(path: str, exact: bool):
                 return json.load(fh, parse_float=parse_rational)
             return json.load(fh)
     except OSError as e:
-        raise CliError(3, f"cannot read {path}: {e}") from e
+        raise ValueError(f"cannot read {path}: {e}") from e
     except json.JSONDecodeError as e:
-        raise CliError(3, f"{path} is not valid JSON: {e}") from e
+        raise ValueError(f"{path} is not valid JSON: {e}") from e
     except ValueError as e:
-        raise CliError(3, f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _load_alphabet(args) -> SourceAlphabet:
     if args.values is None:
-        raise CliError(2, "missing --values")
+        raise CliError("missing --values")
     text = args.values.strip()
     pmf = _parse_number_list(args.pmf, args.exact) if args.pmf else None
-    try:
-        if text.startswith("@"):
-            doc = _read_json(text[1:], args.exact)
-            if pmf is not None and isinstance(doc, dict):
-                doc = dict(doc, pmf=pmf)  # the flag overrides the file's pmf
-            try:
-                return alphabet_from_dict(doc)
-            except ValueError as e:
-                raise CliError(3, f"{text[1:]}: {e}") from e
-        if ".." in text and "," not in text:
-            values = _parse_int_range(text)
-        else:
-            values = _parse_number_list(text, args.exact)
-        return make_alphabet(values, pmf)
-    except ValueError as e:
-        raise CliError(3, str(e)) from e
-
-
-def _inverse(order):
-    inv = [0] * len(order)
-    for pos, orig in enumerate(order):
-        inv[orig] = pos
-    return inv
+    if text.startswith("@"):
+        doc = _read_json(text[1:], args.exact)
+        if pmf is not None and isinstance(doc, dict):
+            doc = dict(doc, pmf=pmf)  # the flag overrides the file's pmf
+        try:
+            return alphabet_from_dict(doc)
+        except ValueError as e:
+            raise ValueError(f"{text[1:]}: {e}") from e
+    if ".." in text and "," not in text:
+        values = _parse_int_range(text)
+    else:
+        values = _parse_number_list(text, args.exact)
+    return make_alphabet(values, pmf)
 
 
 def _load_code(path: str, exact: bool) -> KeyedCode:
@@ -179,7 +165,7 @@ def _load_code(path: str, exact: bool) -> KeyedCode:
     try:
         return code_from_dict(doc)
     except ValueError as e:
-        raise CliError(3, f"{path}: {e}") from e
+        raise ValueError(f"{path}: {e}") from e
 
 
 def _alphabet_id(alphabet: SourceAlphabet) -> str:
@@ -205,29 +191,30 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _report_row(alphabet, code_k: int, alg: str, seed, report) -> list[str]:
-    if alphabet is not None and alphabet.is_uniform():
-        keys = Fraction(2**code_k) if alphabet.exact else 2**code_k
-        bound1 = report.d_max / keys
-        bound2 = report.spread * report.spread / keys**2
-        b1, b2 = _fmt(bound1), _fmt(bound2)
-    else:
-        b1 = b2 = "na"
+def _report_row(row_id: str, m: int, k: int, alg: str, seed, report, bounds=None) -> list[str]:
+    """One report CSV row; ``bounds`` is the pair ``decay_bounds`` gives,
+    None where the decay bounds do not apply."""
     return [
-        _alphabet_id(alphabet) if alphabet is not None else "na",
-        str(alphabet.m) if alphabet is not None else "na",
-        str(code_k),
+        row_id,
+        str(m),
+        str(k),
         alg,
         "na" if seed is None else str(seed),
         _fmt(report.d_max),
         _fmt(report.d_ach),
         _fmt(report.delta),
-        b1,
-        b2,
+        *(("na", "na") if bounds is None else map(_fmt, bounds)),
         _fmt_flag(report.bound1_ok),
         _fmt_flag(report.bound2_ok),
         _fmt_flag(report.perfectly_secure),
     ]
+
+
+def _alphabet_row(code: KeyedCode, alphabet: SourceAlphabet, alg: str, seed) -> list[str]:
+    """The report row of one code on a single source."""
+    report = bound_report(code, alphabet)
+    bounds = decay_bounds(alphabet, code.k, report.d_max)
+    return _report_row(_alphabet_id(alphabet), alphabet.m, code.k, alg, seed, report, bounds)
 
 
 def _check_construction(m: int, k: int) -> None:
@@ -241,20 +228,18 @@ def _check_construction(m: int, k: int) -> None:
         )
 
 
-def _build_code(alg: str, alphabet: SourceAlphabet, k: int, r, seed: int) -> KeyedCode:
+def _build_code(alg: str, alphabet: SourceAlphabet, k: int, seed: int) -> KeyedCode:
     _check_construction(alphabet.m, 0 if alg == "identity" else k)
     if alg == "greedy":
-        if r is not None and r != alphabet.m:
-            raise CliError(3, "greedy codes use r = m")
         return greedy_code(alphabet, k)
     if alg == "exchange":
-        binning = exchange_binning(alphabet, k, r, seed=seed)
+        binning = exchange_binning(alphabet, k, seed=seed)
         return complete_key_assignment(binning, k)
     if alg == "identity":
         if k not in (0, None):
-            raise CliError(3, "identity is the k=0 code")
+            raise ValueError("identity is the k=0 code")
         return identity_code(alphabet.m)
-    raise CliError(2, f"unknown algorithm {alg!r}")
+    raise CliError(f"unknown algorithm {alg!r}")
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -262,8 +247,8 @@ def _build_code(alg: str, alphabet: SourceAlphabet, k: int, r, seed: int) -> Key
 def _cmd_encode(args) -> int:
     alphabet = _load_alphabet(args)
     if args.alg != "identity" and args.k is None:
-        raise CliError(2, "--k is required for greedy and exchange")
-    code = _build_code(args.alg, alphabet, args.k, args.r, args.seed)
+        raise CliError("--k is required for greedy and exchange")
+    code = _build_code(args.alg, alphabet, args.k, args.seed)
     _write_text(args.output, json.dumps(code_to_dict(code), indent=2) + "\n")
     return 0
 
@@ -271,8 +256,7 @@ def _cmd_encode(args) -> int:
 def _cmd_analyze(args) -> int:
     alphabet = _load_alphabet(args)
     code = _load_code(args.code, args.exact)
-    report = bound_report(code, alphabet)
-    row = _report_row(alphabet, code.k, "na", None, report)
+    row = _alphabet_row(code, alphabet, "na", None)
     _write_text(args.output, _csv_text(REPORT_COLUMNS, [row]))
     return 0
 
@@ -282,15 +266,13 @@ def _cmd_search(args) -> int:
     r_range = None
     if args.r_lo is not None or args.r_hi is not None:
         if args.r_lo is None or args.r_hi is None:
-            raise CliError(2, "--r-lo and --r-hi go together")
+            raise CliError("--r-lo and --r-hi go together")
         r_range = (args.r_lo, args.r_hi)
     result = brute_force_optimal(
         alphabet,
         args.k,
         r_range=r_range,
         prune=not args.no_prune,
-        max_m=args.max_m,
-        max_k=args.max_k,
         force=args.force,
     )
     doc = {
@@ -318,81 +300,72 @@ def _is_list_of(x, depth: int) -> bool:
 def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
     version = doc.get("version") if isinstance(doc, dict) else None
     if isinstance(version, bool) or version != 1:
-        raise CliError(3, "system config must be a JSON object with version: 1")
+        raise ValueError("system config must be a JSON object with version: 1")
     for field in ("sources", "codes", "function"):
         if field not in doc:
-            raise CliError(3, f"system config missing field {field!r}")
+            raise ValueError(f"system config missing field {field!r}")
     for field in ("sources", "codes"):
         if not isinstance(doc[field], list):
-            raise CliError(3, f"system config field {field!r} must be a list")
-    try:
-        sources = tuple(alphabet_from_dict(d) for d in doc["sources"])
-        codes = []
-        for entry in doc["codes"]:
-            if isinstance(entry, str):
-                path = entry
-            elif isinstance(entry, dict) and "path" in entry:
-                path = entry["path"]
-            else:
-                codes.append(code_from_dict(entry))
-                continue
-            if not isinstance(path, str):
-                raise CliError(3, f"code path must be a string, got {path!r}")
-            if not os.path.isabs(path):
-                path = os.path.join(base_dir, path)
-            codes.append(_load_code(path, exact))
-        fn = doc["function"]
-        if not isinstance(fn, dict) or "components" not in fn:
-            raise CliError(3, "function must be an object with components")
-        if not _is_list_of(fn["components"], 3):
-            raise CliError(3, "components must be a list of terms, each a list of tables")
-        components = tuple(
-            tuple(tuple(scalar_from_json(t) for t in table) for table in term)
-            for term in fn["components"]
-        )
-        function = SeparableFunction(
-            n=len(components[0]) if components else 0,
-            components=components,
-            form=fn.get("form", "general-sum-of-products"),
-        )
-        return JointSystem(sources=sources, codes=tuple(codes), function=function)
-    except ValueError as e:
-        raise CliError(3, str(e)) from e
+            raise ValueError(f"system config field {field!r} must be a list")
+    sources = tuple(alphabet_from_dict(d) for d in doc["sources"])
+    codes = []
+    for entry in doc["codes"]:
+        if isinstance(entry, str):
+            path = entry
+        elif isinstance(entry, dict) and "path" in entry:
+            path = entry["path"]
+        else:
+            codes.append(code_from_dict(entry))
+            continue
+        if not isinstance(path, str):
+            raise ValueError(f"code path must be a string, got {path!r}")
+        if not os.path.isabs(path):
+            path = os.path.join(base_dir, path)
+        codes.append(_load_code(path, exact))
+    fn = doc["function"]
+    if not isinstance(fn, dict) or "components" not in fn:
+        raise ValueError("function must be an object with components")
+    if not _is_list_of(fn["components"], 3):
+        raise ValueError("components must be a list of terms, each a list of tables")
+    components = tuple(
+        tuple(tuple(scalar_from_json(t) for t in table) for table in term)
+        for term in fn["components"]
+    )
+    function = SeparableFunction(
+        n=len(components[0]) if components else 0,
+        components=components,
+        form=fn.get("form", "general-sum-of-products"),
+    )
+    return JointSystem(sources=sources, codes=tuple(codes), function=function)
 
 
 def _cmd_compose(args) -> int:
     doc = _read_json(args.config, args.exact)
     system = _parse_system(doc, os.path.dirname(os.path.abspath(args.config)), args.exact)
     report = joint_distortion(system)
-    row = _report_row(None, system.total_key_bits, "compose", None, report)
     blob = json.dumps(doc, sort_keys=True, default=str)
-    row[0] = hashlib.sha1(blob.encode()).hexdigest()[:12]
-    row[1] = str(_joint_m(system))
+    row = _report_row(
+        hashlib.sha1(blob.encode()).hexdigest()[:12],
+        math.prod(a.m for a in system.sources),
+        system.total_key_bits,
+        "compose",
+        None,
+        report,
+    )
     _write_text(args.output, _csv_text(REPORT_COLUMNS, [row]))
     return 0
 
 
-def _joint_m(system: JointSystem) -> int:
-    m = 1
-    for a in system.sources:
-        m *= a.m
-    return m
-
-
 def _cmd_simulate(args) -> int:
     if (args.system is None) == (args.code is None):
-        raise CliError(2, "give exactly one of --code or --system")
+        raise CliError("give exactly one of --code or --system")
     if args.system is not None:
         doc = _read_json(args.system, args.exact)
         target = _parse_system(doc, os.path.dirname(os.path.abspath(args.system)), args.exact)
     else:
         alphabet = _load_alphabet(args)
         target = (_load_code(args.code, args.exact), alphabet)
-    try:
-        config = SimConfig(trials=args.trials, seed=args.seed, target=target)
-    except ValueError as e:
-        raise CliError(3, str(e)) from e
-    report = simulate(config)
+    report = simulate(SimConfig(trials=args.trials, seed=args.seed, target=target))
     rows = [[
         str(report.trials),
         str(report.seed),
@@ -408,42 +381,38 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_row(spec) -> list[str]:
-    values, pmf, k, alg, seed = spec
-    alphabet = make_alphabet(values, pmf)
-    code = _build_code(alg, alphabet, k if alg != "identity" else 0, None, seed)
-    report = bound_report(code, alphabet)
-    return _report_row(alphabet, code.k, alg, seed, report)
+    alphabet, k, alg, seed = spec
+    code = _build_code(alg, alphabet, k if alg != "identity" else 0, seed)
+    return _alphabet_row(code, alphabet, alg, seed)
 
 
 def _cmd_sweep(args) -> int:
     alphabet = _load_alphabet(args)
     ks = _parse_int_range(args.k)
     if any(k < 0 for k in ks):
-        raise CliError(3, "key bit counts must be >= 0")
+        raise ValueError("key bit counts must be >= 0")
     algs = [a.strip() for a in args.alg.split(",") if a.strip()]
     for alg in algs:
         if alg not in ("greedy", "exchange", "identity"):
-            raise CliError(2, f"unknown algorithm {alg!r}")
+            raise CliError(f"unknown algorithm {alg!r}")
     seeds = [args.seed]
     if args.seeds:
         try:
             seeds = [_parse_seed(seed) for seed in _parse_int_range(args.seeds)]
         except argparse.ArgumentTypeError as e:
-            raise CliError(2, f"argument --seeds: {e}") from e
+            raise CliError(f"argument --seeds: {e}") from e
     keyed = any(alg != "identity" for alg in algs)
     _check_construction(alphabet.m, max(ks) if keyed else 0)
 
-    # Pass plain values so rows pickle cleanly for the process pool.
-    inverse = _inverse(alphabet.original_index)
-    values = [alphabet.values[inverse[i]] for i in range(alphabet.m)]
-    pmf = None if alphabet.is_uniform() else [alphabet.pmf[inverse[i]] for i in range(alphabet.m)]
+    # Rows use the alphabet as loaded; a rebuilt one could change arithmetic
+    # domain (a float pmf equal to 1/m would come back exact).
     specs = []
     for k in ks:
         for alg in algs:
             if alg == "identity" and k != min(ks):
                 continue  # identity has no key; one row per seed
             for seed in seeds:
-                specs.append((values, pmf, k, alg, seed))
+                specs.append((alphabet, k, alg, seed))
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             rows = list(pool.map(_sweep_row, specs))
@@ -482,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma list, lo..hi range, or @file.json")
     p.add_argument("--pmf", default=None, help="comma list of probabilities")
     p.add_argument("--k", type=int, default=None, help="key bits")
-    p.add_argument("--r", type=int, default=None, help="bin count (exchange; must be m)")
     p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("analyze", parents=[common], help="distortion report for a code")
@@ -499,10 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-hi", type=int, default=None)
     p.add_argument("--no-prune", action="store_true",
                    help="disable the light-bin pruning rule")
-    p.add_argument("--max-m", type=int, default=8)
-    p.add_argument("--max-k", type=int, default=2)
     p.add_argument("--force", action="store_true",
-                   help="acknowledge a factorial search beyond the caps")
+                   help=f"search beyond the caps m <= {MAX_M}, k <= {MAX_K}")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("compose", parents=[common], help="analyze a multi-source system")
@@ -535,7 +501,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return 2
     except CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4

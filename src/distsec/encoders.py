@@ -105,7 +105,9 @@ def exchange_binning(
     bin sizes a - b is positive yet at most d < S_i - S_j.  The state space
     is finite, so the loop terminates, with every final bin sum inside
     [mean_sum - d, mean_sum + d].  The bin sums are taken once up front and
-    each swap re-sums only the two bins it touches.
+    each swap re-sums only the two bins it touches.  On floats, where two
+    sums can differ by d in the reals but a hair more after rounding, the
+    loop also stops when a swap would exactly undo the one before it.
 
     Only r = m is supported: equal-size bins are what make the improving
     swap available, and r = m is the shape the completion step and the
@@ -139,6 +141,7 @@ def exchange_binning(
     values = alphabet.values
     d = alphabet.spread
     sums = [sum(values[v] for v in content) for content in bins]
+    last = None
     for _ in range(_SWAP_LIMIT):
         hi = max(range(m), key=lambda j: (sums[j], -j))
         lo = min(range(m), key=lambda j: (sums[j], j))
@@ -146,8 +149,11 @@ def exchange_binning(
             break
         a = bins[hi][0]  # smallest index = largest value
         b = bins[lo][-1]
-        if not values[a] > values[b]:
-            break  # float near-tie degeneracy; spread is already within one gap of d
+        if not values[a] > values[b] or (lo, hi, a, b) == last:
+            # Float near-ties: the spread is already within one gap of d, or
+            # the swap would undo the previous one and the loop would cycle.
+            break
+        last = (hi, lo, a, b)
         bins[hi].pop(0)
         bins[lo].pop()
         insort(bins[hi], b)

@@ -79,16 +79,13 @@ def arithmetic_view(alphabet: "SourceAlphabet") -> tuple[tuple, tuple]:
 class SourceAlphabet:
     """A finite value list with a probability mass function.
 
-    ``values`` is stored in descending order; ``original_index[i]`` gives the
-    position of ``values[i]`` in the caller-supplied list so external data
-    keyed to the original order can be permuted consistently.  ``pmf`` is
-    permuted together with the values.  All code bin-index tables produced by
-    this package index the descending order.
+    ``values`` is stored in descending order and ``pmf`` is permuted
+    together with the values.  All code bin-index tables produced by this
+    package index the descending order.
     """
 
     values: tuple[Scalar, ...]
     pmf: tuple[Scalar, ...]
-    original_index: tuple[int, ...]
 
     @property
     def m(self) -> int:
@@ -149,7 +146,6 @@ def make_alphabet(values, pmf=None) -> SourceAlphabet:
     return SourceAlphabet(
         values=tuple(vals[i] for i in order),
         pmf=tuple(probs[i] for i in order),
-        original_index=tuple(order),
     )
 
 

@@ -176,10 +176,12 @@ def _product_covariance(qs, cs) -> Scalar:
     """prod_i (q_i + c_i) - prod_i q_i, accumulated without the subtraction.
 
     D <- q_i D + c_i P and P <- (q_i + c_i) P keep D equal to the difference
-    after every factor, so floats never cancel two large products.
+    after every factor, so floats never cancel two large products.  The first
+    factor sets D = c_1 outright: a q_1 that overflows is never multiplied by
+    a zero D, so one source yields its c_1 whatever its mean.
     """
-    d, p = 0, 1
-    for q, c in zip(qs, cs):
+    d, p = cs[0], qs[0] + cs[0]
+    for q, c in zip(qs[1:], cs[1:]):
         d, p = q * d + c * p, (q + c) * p
     return d
 

