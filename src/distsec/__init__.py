@@ -11,14 +11,11 @@ cross-check, plus the ``distsec`` command-line front end.
 
 from .analysis import (
     DistortionReport,
-    EvePosterior,
     achievable_distortion,
     bound_report,
     delta_closed_form,
-    eve_posterior,
     is_perfectly_secure,
     max_distortion,
-    table_posterior_means,
 )
 from .encoders import (
     Binning,
@@ -35,8 +32,6 @@ from .model import (
     alphabet_to_dict,
     code_from_dict,
     code_to_dict,
-    decode,
-    encode_symbol,
     make_alphabet,
 )
 from .multisource import (
@@ -44,7 +39,6 @@ from .multisource import (
     SeparableFunction,
     WitnessReport,
     check_sufficiency,
-    evaluate,
     joint_distortion,
     necessity_witness,
     product_function,
@@ -59,7 +53,6 @@ __all__ = [
     "Binning",
     "CapExceededError",
     "DistortionReport",
-    "EvePosterior",
     "JointSystem",
     "KeyedCode",
     "SearchResult",
@@ -78,11 +71,7 @@ __all__ = [
     "code_from_dict",
     "code_to_dict",
     "complete_key_assignment",
-    "decode",
     "delta_closed_form",
-    "encode_symbol",
-    "evaluate",
-    "eve_posterior",
     "exchange_binning",
     "greedy_code",
     "identity_code",
@@ -94,6 +83,5 @@ __all__ = [
     "product_function",
     "simulate",
     "sum_function",
-    "table_posterior_means",
     "verify_structure",
 ]

@@ -25,17 +25,12 @@ from math import lcm
 from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, is_exact
 
 
-def _mean_and_var(values, pmf) -> tuple[Scalar, Scalar]:
-    mean = sum(p * y for p, y in zip(pmf, values))
-    var = sum(p * (y - mean) * (y - mean) for p, y in zip(pmf, values))
-    return mean, var
-
-
 def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     """Variance of the source value: the eavesdropper's loss when the code
     tells her nothing and she falls back to guessing the overall mean."""
     values, pmf = arithmetic_view(alphabet)
-    return _mean_and_var(values, pmf)[1]
+    mean = sum(p * y for p, y in zip(pmf, values))
+    return sum(p * (y - mean) * (y - mean) for p, y in zip(pmf, values))
 
 
 @dataclass(frozen=True)
@@ -136,33 +131,6 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     return _BinMoments(exact, mean, tuple(m0), tuple(s1), tuple(s2))
 
 
-@dataclass(frozen=True)
-class EvePosterior:
-    """Per-bin observation probabilities and posterior means.
-
-    ``tau_prob[j]`` is the probability of observing bin j under a uniform
-    random key; ``tau_mean[j]`` is E[Y | bin j], None for bins that can never
-    be observed; ``support`` lists the observable bins.
-    """
-
-    tau_prob: tuple[Scalar, ...]
-    tau_mean: tuple[Scalar | None, ...]
-    support: tuple[int, ...]
-
-
-def eve_posterior(code: KeyedCode, alphabet: SourceAlphabet) -> EvePosterior:
-    """Posterior over bins: p(bin j) and E[Y | bin j].
-
-    Exact alphabets yield exact Fractions.
-    """
-    mom = _bin_moments(code, alphabet)
-    return EvePosterior(
-        tau_prob=mom.m0,
-        tau_mean=mom.posterior_means(),
-        support=tuple(mom.support()),
-    )
-
-
 def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
     """The eavesdropper's minimum expected squared error: the sum over
     observable bins of the payoff's centred within-bin spread,
@@ -179,23 +147,11 @@ def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
 
     over observable bins.  The values are centred on E[Y] before they are
     summed, so no E[Y]^2 term is subtracted and the float result is never
-    negative.  Equals ``max_distortion - achievable_distortion`` identically.
+    negative.  It is capped at ``max_distortion``: in the reals it never
+    exceeds it, and on floats the two round differently, so the cap keeps
+    0 <= delta <= d_max.  On the exact path the cap is an identity.
     """
-    return _bin_moments(code, alphabet).advantage()
-
-
-def table_posterior_means(
-    code: KeyedCode, alphabet: SourceAlphabet, table
-) -> tuple[Scalar, tuple[Scalar | None, ...]]:
-    """Overall mean and per-bin posterior means of an arbitrary value table.
-
-    ``table[i]`` is any real payoff attached to value index i (the building
-    block for checking per-component security of composed functions, where
-    the secured quantity is a function of the symbol, not the symbol itself).
-    Returns (E[t(X)], per-bin E[t(X) | bin j]) with None off the support.
-    """
-    mom = _bin_moments(code, alphabet, table)
-    return mom.mean, mom.posterior_means()
+    return min(_bin_moments(code, alphabet).advantage(), max_distortion(alphabet))
 
 
 def is_perfectly_secure(
@@ -232,7 +188,9 @@ class DistortionReport:
     are None when not applicable (the guarantees are stated for uniform
     single sources, so non-uniform and composed reports carry None).
     ``spread`` is the value spread of a single source and None for a
-    composed system.
+    composed system; ``bench/spans.py`` passes it when it assembles a report
+    from the timed parts.  On floats as on exact input, 0 <= delta <= d_max
+    and d_ach = d_max - delta, so d_ach is never negative.
     """
 
     d_max: Scalar
@@ -255,7 +213,7 @@ def bound_report(
     """
     mom = _bin_moments(code, alphabet)
     d_max = max_distortion(alphabet)
-    delta = mom.advantage()
+    delta = min(mom.advantage(), d_max)
     spread = alphabet.spread
     bounds = decay_bounds(alphabet, code.k, d_max)
     if bounds is None:

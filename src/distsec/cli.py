@@ -177,8 +177,11 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise ValueError(f"cannot write {path}: {e}") from e
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:

@@ -27,8 +27,8 @@ class CapExceededError(RuntimeError):
 
     Search is factorial and constructions are linear in m 2**k, which grows
     exponentially in k; the caps exist so a typo does not turn into an
-    unbounded computation.  Callers that really mean it can raise the search
-    caps explicitly.
+    unbounded computation.  The caps are constants; only the search's
+    ``force`` flag lets an instance past its caps.
     """
 
 
@@ -196,32 +196,6 @@ class KeyedCode:
     @property
     def key_count(self) -> int:
         return 2**self.k
-
-
-def encode_symbol(code: KeyedCode, key: int, value_index: int) -> int:
-    """Bin index transmitted for ``value_index`` under ``key``."""
-    if not 0 <= key < code.key_count:
-        raise ValueError(f"key {key} outside [0, {code.key_count})")
-    if not 0 <= value_index < code.m:
-        raise ValueError(f"value index {value_index} outside [0, {code.m})")
-    return code.assignment[key][value_index]
-
-
-def decode(code: KeyedCode, key: int, bin_index: int) -> int:
-    """Value index recovered from ``bin_index`` under ``key``.
-
-    The inverse view is derived on demand: a linear scan of the key's row.
-    Raises ValueError when the bin is not in the image of the key's mapping.
-    """
-    if not 0 <= key < code.key_count:
-        raise ValueError(f"key {key} outside [0, {code.key_count})")
-    if not 0 <= bin_index < code.r:
-        raise ValueError(f"bin {bin_index} outside [0, {code.r})")
-    row = code.assignment[key]
-    for v in range(code.m):
-        if row[v] == bin_index:
-            return v
-    raise ValueError(f"bin {bin_index} is not used by key {key}")
 
 
 # ---------------------------------------------------------------------------

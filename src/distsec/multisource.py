@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import DistortionReport, _BinMoments, _bin_moments
-from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, is_exact
+from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view
 
 FORMS = ("general-sum-of-products", "pure-sum", "pure-product")
 
@@ -84,12 +84,6 @@ class SeparableFunction:
     def L(self) -> int:
         return len(self.components)
 
-    @property
-    def exact(self) -> bool:
-        return all(
-            is_exact(t) for term in self.components for table in term for t in table
-        )
-
 
 def sum_function(tables) -> SeparableFunction:
     """f(x) = sum_i t_i(x_i) as a pure-sum separable function."""
@@ -106,25 +100,6 @@ def product_function(tables) -> SeparableFunction:
     """f(x) = prod_i t_i(x_i) as a pure-product separable function."""
     tables = tuple(tuple(t) for t in tables)
     return SeparableFunction(n=len(tables), components=(tables,), form="pure-product")
-
-
-def evaluate(function: SeparableFunction, joint_value) -> Scalar:
-    """Evaluate the function at a tuple of per-source value indices."""
-    joint_value = tuple(joint_value)
-    if len(joint_value) != function.n:
-        raise ValueError(
-            f"joint value has {len(joint_value)} indices for n={function.n}"
-        )
-    for i, x in enumerate(joint_value):
-        if not 0 <= x < len(function.components[0][i]):
-            raise ValueError(f"source {i}: value index {x} out of range")
-    total = 0
-    for term in function.components:
-        prod = 1
-        for i, x in enumerate(joint_value):
-            prod *= term[i][x]
-        total += prod
-    return total
 
 
 @dataclass(frozen=True)
@@ -161,11 +136,8 @@ class JointSystem:
     def total_key_bits(self) -> int:
         return sum(code.k for code in self.codes)
 
-    @property
-    def exact(self) -> bool:
-        return self.function.exact and all(a.exact for a in self.sources)
-
     def state_count(self) -> int:
+        """prod_i m_i 2**k_i, the joint states; ``bench/spans.py`` counts them."""
         states = 1
         for alpha, code in zip(self.sources, self.codes):
             states *= alpha.m * code.key_count
@@ -191,7 +163,8 @@ class _Composition:
     """A separable function's moments under its system's codes.
 
     ``moments[l][i]`` is the bin-moment pass of table f_i^(l) under code i;
-    ``mean`` is E[f], ``d_max`` is var(f) and ``delta`` is var(E[f | G]).
+    ``mean`` is E[f], ``d_max`` is var(f) and ``delta`` is var(E[f | G]),
+    capped at ``d_max`` so that float rounding never puts it above.
     """
 
     exact: bool
@@ -252,7 +225,8 @@ def _compose(system: JointSystem) -> _Composition:
                 ],
             )
     mean = sum(math.prod(mom.mean for mom in row) for row in moments)
-    return _Composition(system.exact, moments, mean, d_max, delta)
+    exact = all(mom.exact for row in moments for mom in row)
+    return _Composition(exact, moments, mean, d_max, min(delta, d_max))
 
 
 def joint_distortion(system: JointSystem, tol: float = 1e-9) -> DistortionReport:

@@ -21,17 +21,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import _BinMoments
-from .model import KeyedCode, Scalar, SourceAlphabet
+from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet
 from .multisource import JointSystem, _compose, product_function
 
 STREAM_TRIALS = 1 << 14
+# About 20 s of sampling for one source at some 5e6 trials/s; a typo in
+# --trials beyond it would cost hours.
+MAX_TRIALS = 10**8
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """One simulation request.
 
-    ``target`` is either a (code, alphabet) pair or a JointSystem.
+    ``target`` is either a (code, alphabet) pair or a JointSystem.  More
+    than MAX_TRIALS trials raise CapExceededError before anything is drawn.
     """
 
     trials: int
@@ -41,6 +45,10 @@ class SimConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        if self.trials > MAX_TRIALS:
+            raise CapExceededError(
+                f"{self.trials} trials exceed the cap of {MAX_TRIALS}"
+            )
         if not 0 <= self.seed < 2**64:
             raise ValueError("seed must fit in 64 bits")
 

@@ -1,5 +1,6 @@
 """Adversary analysis: posterior, oracle distortion, closed forms, bounds."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -15,19 +16,22 @@ from conftest import (
     random_float_alphabet,
 )
 from distsec import (
+    JointSystem,
     KeyedCode,
     achievable_distortion,
     bound_report,
     complete_key_assignment,
     delta_closed_form,
-    eve_posterior,
     greedy_code,
     identity_code,
     is_perfectly_secure,
+    joint_distortion,
     make_alphabet,
     max_distortion,
-    table_posterior_means,
+    product_function,
+    sum_function,
 )
+from distsec.analysis import _bin_moments
 from distsec.encoders import Binning
 
 QUAD = make_alphabet([1, 2, 3, 4])
@@ -41,18 +45,18 @@ def test_max_distortion_anchors():
 
 
 def test_posterior_of_perfect_code():
-    post = eve_posterior(greedy_code(QUAD, 1), QUAD)
-    assert post.tau_prob == (Fraction(1, 4),) * 4
-    assert post.tau_mean == (Fraction(5, 2),) * 4
-    assert post.support == (0, 1, 2, 3)
+    mom = _bin_moments(greedy_code(QUAD, 1), QUAD)
+    assert mom.m0 == (Fraction(1, 4),) * 4
+    assert mom.posterior_means() == (Fraction(5, 2),) * 4
+    assert mom.support() == [0, 1, 2, 3]
 
 
 def test_posterior_skips_unreachable_bins():
     code = KeyedCode(m=1, k=0, r=2, assignment=((0,),))
-    post = eve_posterior(code, make_alphabet([7]))
-    assert post.tau_prob == (1, 0)
-    assert post.tau_mean == (7, None)
-    assert post.support == (0,)
+    mom = _bin_moments(code, make_alphabet([7]))
+    assert mom.m0 == (1, 0)
+    assert mom.posterior_means() == (7, None)
+    assert mom.support() == [0]
 
 
 def test_identity_leaks_everything():
@@ -67,8 +71,8 @@ def test_irregular_anchor_numbers():
     assert max_distortion(IRREGULAR) == Fraction(155, 16)
     assert delta_closed_form(code, IRREGULAR) == Fraction(9, 16)
     assert achievable_distortion(code, IRREGULAR) == Fraction(73, 8)
-    post = eve_posterior(code, IRREGULAR)
-    assert post.tau_mean == (5, Fraction(7, 2), Fraction(7, 2), 5)
+    means = _bin_moments(code, IRREGULAR).posterior_means()
+    assert means == (5, Fraction(7, 2), Fraction(7, 2), 5)
 
 
 @given(st.data())
@@ -106,14 +110,14 @@ def test_moment_kernel_matches_oracle(data):
     assert delta_closed_form(code, a) == want.delta
     assert achievable_distortion(code, a) == want.d_ach
     assert is_perfectly_secure(code, a) == want.secure
-    post = eve_posterior(code, a)
-    assert post.tau_prob == want.prob
-    assert post.tau_mean == want.means
-    assert post.support == tuple(j for j, p in enumerate(want.prob) if p > 0)
+    mom = _bin_moments(code, a)
+    assert mom.m0 == want.prob
+    assert mom.posterior_means() == want.means
+    assert mom.support() == [j for j, p in enumerate(want.prob) if p > 0]
     table = [int(t) for t in rng.integers(-50, 51, size=m)]
-    overall, means = table_posterior_means(code, a, table)
+    mom = _bin_moments(code, a, table)
     want_table = exact_oracle(code, a, table)
-    assert (overall, means) == (want_table.mean, want_table.means)
+    assert (mom.mean, mom.posterior_means()) == (want_table.mean, want_table.means)
 
 
 def test_float_path_tracks_exact_path():
@@ -173,15 +177,64 @@ def test_skewed_offset_anchor():
     assert not rep.perfectly_secure
 
 
-def test_table_posterior_means_on_a_transformed_payoff():
+@st.composite
+def _float_alphabets(draw):
+    """Non-dyadic decimals, optionally on a 1e8 offset, under a float pmf."""
+    m = draw(st.integers(1, 5))
+    offset = draw(st.sampled_from([0.0, 1e8, -1e8]))
+    values = [offset + draw(st.integers(-10**4, 10**4)) / 1000 for _ in range(m)]
+    if draw(st.booleans()):
+        weights = [draw(st.integers(1, 30)) for _ in range(m)]
+        pmf = [w / sum(weights) for w in weights]
+    else:
+        pmf = [1 / m] * m
+    return make_alphabet(values, pmf)
+
+
+def _draw_code(data, alphabet):
+    kind = data.draw(st.sampled_from(["identity", "greedy", "random"]))
+    if kind == "identity":
+        return identity_code(alphabet.m)
+    k = data.draw(st.integers(0, 2))
+    if kind == "greedy":
+        return greedy_code(alphabet, k)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    return random_code(rng, alphabet.m, k, alphabet.m + data.draw(st.integers(0, 2)))
+
+
+def _assert_report_contract(rep):
+    assert 0 <= rep.d_ach
+    assert 0 <= rep.delta <= rep.d_max
+    assert abs(rep.d_ach + rep.delta - rep.d_max) <= 2 * math.ulp(rep.d_max)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_float_report_never_contradicts_itself(data):
+    # d_max and the advantage round separately on floats; the report must
+    # still read 0 <= d_ach, 0 <= delta <= d_max, d_ach + delta = d_max.
+    a = data.draw(_float_alphabets())
+    code_a = _draw_code(data, a)
+    _assert_report_contract(bound_report(code_a, a))
+    one = JointSystem((a,), (code_a,), product_function([a.values]))
+    _assert_report_contract(joint_distortion(one))
+    b = data.draw(_float_alphabets())
+    build = data.draw(st.sampled_from([sum_function, product_function]))
+    two = JointSystem((a, b), (code_a, _draw_code(data, b)), build([a.values, b.values]))
+    _assert_report_contract(joint_distortion(two))
+
+
+def test_posterior_means_of_a_transformed_payoff():
     code = greedy_code(QUAD, 1)
-    overall, means = table_posterior_means(code, QUAD, [16, 9, 4, 1])  # squares
-    assert overall == Fraction(15, 2)
-    assert means == (Fraction(17, 2), Fraction(13, 2), Fraction(13, 2), Fraction(17, 2))
+    mom = _bin_moments(code, QUAD, [16, 9, 4, 1])  # squares
+    assert mom.mean == Fraction(15, 2)
+    assert mom.posterior_means() == (
+        Fraction(17, 2), Fraction(13, 2), Fraction(13, 2), Fraction(17, 2)
+    )
     with pytest.raises(ValueError):
-        table_posterior_means(code, QUAD, [1, 2, 3])
+        _bin_moments(code, QUAD, [1, 2, 3])
     with pytest.raises(ValueError, match="code expects"):
-        table_posterior_means(code, make_alphabet([1, 2, 3]), [1, 2, 3])
+        _bin_moments(code, make_alphabet([1, 2, 3]), [1, 2, 3])
 
 
 def test_perfect_security_tolerance_paths():

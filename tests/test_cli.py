@@ -5,9 +5,11 @@ errors surface as SystemExit(2); errors the tool raises itself come back as
 return codes.
 """
 
+import argparse
 import ast
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import os
@@ -22,16 +24,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import distsec
+import distsec.analysis
 import distsec.cli
 from distsec import (
+    DistortionReport,
+    JointSystem,
     code_from_dict,
     code_to_dict,
     delta_closed_form,
     greedy_code,
+    identity_code,
     make_alphabet,
     max_distortion,
 )
-from distsec.cli import REPORT_COLUMNS, main
+from distsec.cli import REPORT_COLUMNS, build_parser, main
 
 QUAD = make_alphabet([1, 2, 3, 4])
 
@@ -54,10 +60,14 @@ def run_bounded(*argv, seconds=30):
 
 
 def main_quiet(argv):
-    """``main`` with stdout and stderr captured, for use inside hypothesis."""
+    """``main`` with stdout and stderr captured, for use inside hypothesis;
+    argparse's usage exit comes back as its exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = main(argv)
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -503,20 +513,87 @@ def test_simulate_rejects_bad_trials(capsys, tmp_path):
     assert rc == 3
 
 
+def test_simulate_trial_cap_exits_4_before_sampling(tmp_path):
+    # One trial past the cap would sample for some 20 s; the cap refuses it
+    # before the first draw.
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(code_to_dict(greedy_code(QUAD, 1))))
+    done = run_bounded("simulate", "--code", str(code), "--values", "1,2,3,4",
+                       "--trials", "100000001", seconds=10)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == "error: 100000001 trials exceed the cap of 100000000\n"
+
+
+def test_float_report_keeps_delta_within_d_max(capsys, tmp_path):
+    # The identity code reveals everything, so delta == d_max and d_ach == 0;
+    # two roundings of one variance once printed delta a hair above d_max
+    # and a negative d_ach.
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(code_to_dict(identity_code(2))))
+    rc, out, _ = run(capsys, "analyze", "--code", str(code), "--values=-2.942,3.966",
+                     "--pmf", "0.3333333333333333,0.6666666666666666")
+    assert rc == 0
+    _, row = csv_rows(out)
+    d_max, d_ach, delta = row[5:8]
+    assert d_ach == "0"
+    assert delta == d_max == "10.604547555555557"
+
+
+def test_unwritable_output_exits_3(capsys, tmp_path):
+    target = tmp_path / "missing" / "code.json"
+    rc, out, err = run(capsys, "encode", "--alg", "identity", "--values", "1,2",
+                       "-o", str(target))
+    assert (rc, out) == (3, "")
+    assert err.startswith(f"error: cannot write {target}:")
+
+
+def _module_constant(tree, name):
+    return next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == name
+    )
+
+
 def test_cli_binds_every_name_the_traced_bench_run_swaps():
-    # bench/spans.py wraps these names by attribute on the CLI module; a name
-    # the CLI stops binding breaks the traced run.  Read, not imported, so
+    # bench/spans.py wraps these names by attribute on the CLI module, builds
+    # bound_report from BOUND_PARTS and reads a few result attributes; a name
+    # the library drops breaks the traced run.  Read, not imported, so
     # nothing is written under bench/.
     spans = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
-    entry_points = next(
-        ast.literal_eval(node.value)
-        for node in ast.parse(spans.read_text()).body
-        if isinstance(node, ast.Assign)
-        and getattr(node.targets[0], "id", None) == "ENTRY_POINTS"
-    )
+    tree = ast.parse(spans.read_text())
+    entry_points = _module_constant(tree, "ENTRY_POINTS")
     names = [name for layer in entry_points.values() for name in layer] + ["bound_report"]
     for name in names:
         assert getattr(distsec.cli, name) is getattr(distsec, name), name
+    for name in _module_constant(tree, "BOUND_PARTS"):
+        assert callable(getattr(distsec.analysis, name)), name
+    report_keywords = [
+        {kw.arg for kw in node.keywords}
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "DistortionReport"
+    ]
+    assert report_keywords == [{f.name for f in dataclasses.fields(DistortionReport)}]
+    assert len(report_keywords[0]) == 7
+    assert "state_count" in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert callable(JointSystem.state_count)
+
+
+def test_package_exports_exactly_what_it_imports():
+    # Every name in __all__ resolves, and every public name __init__ pulls in
+    # is listed there: nothing is exported by accident or left dangling.
+    init = Path(distsec.__file__)
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not alias.name.startswith("_")
+    }
+    assert len(distsec.__all__) == len(set(distsec.__all__))
+    assert set(distsec.__all__) == imported
+    for name in distsec.__all__:
+        assert getattr(distsec, name) is not None, name
 
 
 # --- exit code and message for every kind of malformed input ------------------
@@ -735,3 +812,130 @@ def test_mutated_code_and_alphabet_documents_exit_cleanly(data, kind, command, e
         assert err.startswith("error:"), err
     else:
         assert "nan" not in out and "inf" not in out
+
+
+# --- flag combinations drawn from the parser's own options --------------------
+
+def _parser_options():
+    """{subcommand: [(flag, action), ...]} read from ``build_parser()``."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [(a.option_strings[-1], a) for a in p._actions
+               if a.option_strings and a.dest != "help"]
+        for name, p in sub.choices.items()
+    }
+
+
+_OPTIONS = _parser_options()
+
+
+# (valid, malformed) values per option; "{tmp}" is the example's fixture
+# directory.  Sizes stay small: at most m = 20 values, k <= 3, 2000 trials,
+# two jobs and three seeds, so every example finishes in milliseconds.
+_FLAG_VALUES = {
+    "--values": (["1,2,3,4", "9,5,2,1", "1..4", "0.5,1.5,2.5,3.5", "1/2,3/4,5/4,7/4",
+                  "1..20", "@{tmp}/alpha.json"],
+                 ["1..10000000", "", "1,,2", "a,b", "4..1", "1e999", "@{tmp}/missing.json"]),
+    "--pmf": (["0.25,0.25,0.25,0.25", "1/4,1/4,1/4,1/4", "0.1,0.2,0.3,0.4"],
+              ["0.5,0.5", "2,-1", "x", "1/3,1/3,1/3"]),
+    "--k": (["0", "1", "2", "3"], ["21", "-1", "x"]),
+    "--seed": (["0", "7", "18446744073709551615"], ["18446744073709551616", "-1", "x"]),
+    "--jobs": (["1", "2"], ["0", "-3", "x"]),
+    "--output": (["{tmp}/out.txt"], ["{tmp}/missing/out.txt", "{tmp}"]),
+    "--alg": (["greedy", "exchange", "identity"], ["bogus"]),
+    "--code": (["{tmp}/code.json"],
+               ["{tmp}/code2.json", "{tmp}/bad.json", "{tmp}/missing.json"]),
+    "--config": (["{tmp}/system.json"],
+                 ["{tmp}/bad.json", "{tmp}/code.json", "{tmp}/missing.json"]),
+    "--trials": (["1", "64", "2000"], ["100000001", "0", "-5", "x"]),
+    "--r-lo": (["1", "4", "6"], ["0", "-1", "x"]),
+    "--r-hi": (["1", "4", "6"], ["0", "-1", "x"]),
+    "--seeds": (["1,2", "0..2"], ["1..10000000", "x", "-1"]),
+    # store_true flags: present or absent
+    "--exact": ([True, False], []),
+    "--no-prune": ([True, False], []),
+    "--force": ([True, False], []),
+}
+_FLAG_VALUES["--system"] = _FLAG_VALUES["--config"]
+# Search is factorial: only m <= 4 at k <= 1, or beyond the caps (m > 8 or
+# k > 2) where it stops at once; --force would then run for minutes.
+_SEARCH_VALUES = {
+    "--values": (["1,2,3,4", "9,5,2,1", "1..3", "0.5,1.5", "@{tmp}/alpha.json"],
+                 ["1..12", "", "a"]),
+    "--k": (["0", "1"], ["3", "-1", "x"]),
+    "--force": ([False], []),
+}
+_SWEEP_VALUES = {
+    "--k": (["0", "1", "0..2", "0,1"], ["21", "x", "2..0", "-1"]),
+    "--alg": (["greedy", "greedy,exchange", "identity", "greedy,exchange,identity"],
+              ["bogus", ""]),
+}
+
+
+def _flag_fixtures(tmp: Path) -> None:
+    _write_system(tmp)  # code.json (QUAD, k=1) and system.json
+    (tmp / "code2.json").write_text(json.dumps(code_to_dict(identity_code(2))))
+    (tmp / "bad.json").write_text("{not json")
+    (tmp / "alpha.json").write_text(json.dumps({"values": [1, 2, 3, 4]}))
+
+
+def _draw_argv(data, command, tmp):
+    """Every flag the subcommand has, each present or not with a valid value,
+    except up to two faults: a malformed value, an omitted required flag, or
+    an unknown flag."""
+    overrides = {"search": _SEARCH_VALUES, "sweep": _SWEEP_VALUES}.get(command, {})
+    table = {flag: overrides.get(flag, _FLAG_VALUES[flag]) for flag, _ in _OPTIONS[command]}
+    faultable = [flag for flag, action in _OPTIONS[command] if table[flag][1] or action.required]
+    faults = data.draw(st.lists(st.sampled_from(faultable + ["--bogus"]), max_size=2, unique=True))
+    argv = [command]
+    for flag, action in _OPTIONS[command]:
+        valid, malformed = table[flag]
+        if flag in faults:
+            value = data.draw(st.sampled_from(malformed + [None] * action.required))
+        elif action.required or data.draw(st.booleans()):
+            value = data.draw(st.sampled_from(valid))
+        else:
+            value = None
+        if value is True:
+            argv.append(flag)
+        elif value not in (None, False):
+            argv.append(f"{flag}={value.format(tmp=tmp)}")
+    if "--bogus" in faults:
+        argv.append("--bogus")
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data(), command=st.sampled_from(sorted(_OPTIONS)))
+def test_flag_combinations_exit_cleanly(data, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        _flag_fixtures(Path(tmp))
+        argv = _draw_argv(data, command, tmp)
+        rc, _, err = main_quiet(argv)
+    assert rc in (0, 2, 3, 4), (argv, rc, err)
+    if rc:
+        assert "error:" in err, (argv, err)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_sweep_bytes_do_not_depend_on_jobs(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        _flag_fixtures(Path(tmp))
+        argv = [
+            "sweep",
+            "--values=" + data.draw(st.sampled_from(["1..20", "9,5,2,1", "0.5,1.5,2.5,3.5"])),
+            "--k=" + data.draw(st.sampled_from(["0..2", "1", "0,3"])),
+            "--alg=" + data.draw(st.sampled_from(["greedy,exchange,identity", "exchange"])),
+            "--seeds=" + data.draw(st.sampled_from(["0..2", "5"])),
+        ]
+        if data.draw(st.booleans()):
+            argv.append("--exact")
+        outputs = []
+        for jobs in ("1", "2"):
+            path = Path(tmp, f"jobs{jobs}.csv")
+            rc, _, err = main_quiet(argv + ["--jobs", jobs, "-o", str(path)])
+            assert rc == 0, (argv, err)
+            outputs.append(path.read_bytes())
+    assert outputs[0] == outputs[1]

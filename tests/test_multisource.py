@@ -12,7 +12,6 @@ from distsec import (
     SimConfig,
     check_sufficiency,
     complete_key_assignment,
-    evaluate,
     greedy_code,
     identity_code,
     is_perfectly_secure,
@@ -38,18 +37,13 @@ def _two_source_system(function, code0=None, code1=None):
 def test_sum_and_product_builders():
     f = sum_function([VALS, VALS])
     assert f.form == "pure-sum" and f.L == 2
-    assert evaluate(f, (0, 3)) == 5
+    assert f.components == ((VALS, (1, 1, 1, 1)), ((1, 1, 1, 1), VALS))
+    # f(x0=0, x1=3) = 4 + 1
+    assert sum(term[0][0] * term[1][3] for term in f.components) == 5
     g = product_function([VALS, VALS])
     assert g.form == "pure-product" and g.L == 1
-    assert evaluate(g, (0, 3)) == 4
-
-
-def test_evaluate_validates_indices():
-    f = sum_function([VALS, VALS])
-    with pytest.raises(ValueError):
-        evaluate(f, (0,))
-    with pytest.raises(ValueError):
-        evaluate(f, (0, 4))
+    assert g.components == ((VALS, VALS),)
+    assert g.components[0][0][0] * g.components[0][1][3] == 4
 
 
 def test_form_claims_are_checked():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from distsec import (
+    CapExceededError,
     JointSystem,
     SimConfig,
     bound_report,
@@ -14,7 +15,7 @@ from distsec import (
     simulate,
     sum_function,
 )
-from distsec.simulation import STREAM_TRIALS
+from distsec.simulation import MAX_TRIALS, STREAM_TRIALS
 
 QUAD = make_alphabet([1, 2, 3, 4])
 
@@ -27,6 +28,15 @@ def test_config_validation():
         SimConfig(trials=10, seed=2**64, target=target)
     with pytest.raises(ValueError):
         SimConfig(trials=10, seed=-1, target=target)
+
+
+def test_trial_count_is_capped_before_sampling():
+    target = (greedy_code(QUAD, 1), QUAD)
+    assert SimConfig(trials=MAX_TRIALS, seed=0, target=target).trials == MAX_TRIALS
+    with pytest.raises(CapExceededError, match="cap of 100000000"):
+        SimConfig(trials=MAX_TRIALS + 1, seed=0, target=target)
+    with pytest.raises(CapExceededError):
+        SimConfig(trials=10**12, seed=0, target=target)
 
 
 def test_same_seed_same_report():
