@@ -56,12 +56,6 @@ class _BinMoments:
         """var(E[t | bin]) = sum_j s1_j^2 / m0_j."""
         return sum(self.s1[j] * self.s1[j] / self.m0[j] for j in self.support())
 
-    def loss(self) -> Scalar:
-        """E[var(t | bin)] = sum_j (s2_j - s1_j^2 / m0_j)."""
-        return sum(
-            self.s2[j] - self.s1[j] * self.s1[j] / self.m0[j] for j in self.support()
-        )
-
     def posterior_means(self) -> tuple[Scalar | None, ...]:
         return tuple(
             self.mean + s / w if w > 0 else None for w, s in zip(self.m0, self.s1)
@@ -132,10 +126,15 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
 
 
 def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
-    """The eavesdropper's minimum expected squared error: the sum over
-    observable bins of the payoff's centred within-bin spread,
-    sum_j (s2_j - s1_j^2 / m0_j)."""
-    return _bin_moments(code, alphabet).loss()
+    """The eavesdropper's minimum expected squared error, E[var(Y | bin)].
+
+    By the law of total variance it is d_max minus the advantage, and it is
+    formed that way, with the advantage capped at d_max, so on floats it is
+    never negative and equals ``bound_report``'s d_ach bit for bit.  On the
+    exact path it is the sum over bins of the within-bin variance.
+    """
+    d_max = max_distortion(alphabet)
+    return d_max - min(_bin_moments(code, alphabet).advantage(), d_max)
 
 
 def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:

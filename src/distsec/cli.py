@@ -286,6 +286,7 @@ def _cmd_search(args) -> int:
         else None,
         "candidates_examined": result.candidates_examined,
         "pruned": result.pruned,
+        "bound_cuts": result.bound_cuts,
         "exhaustive": result.exhaustive,
         "best_code": code_to_dict(result.best_code),
     }
@@ -416,8 +417,10 @@ def _cmd_sweep(args) -> int:
                 continue  # identity has no key; one row per seed
             for seed in seeds:
                 specs.append((alphabet, k, alg, seed))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # More workers than rows or CPUs cannot help, and the pool starts them all.
+    workers = min(args.jobs, len(specs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, specs))
     else:
         rows = [_sweep_row(spec) for spec in specs]

@@ -20,6 +20,19 @@ Pruning (on by default) drops any partial partition with two bins of at most
 coarsening what the eavesdropper sees never increases her estimate's
 accuracy, so some optimal binning always survives the rule.  The unpruned
 mode exists to test that claim, not to find better codes.
+
+Pruning also cuts by a bound.  With c copies still unplaced and R their
+centred sum, Cauchy-Schwarz gives sum_j S_j^2 / n_j >= R^2 / c over the bins
+still to come, so a child whose score plus R^2 / c exceeds the best complete
+score found so far cannot lead to a better leaf and is skipped.  The cut is
+strict: a leaf that ties the incumbent is still reached, completed and
+compared by its table, so the answer and its tie-break are the ones the walk
+gives without the bound.  Exact alphabets compare in integers.  Floats allow a
+slack of 1e-12 times the walk's total, 2**k times the sum of squared centred
+values: far above the rounding of the few sums involved, so a rounded R never
+cuts a leaf that ties the incumbent, even an incumbent of exactly 0.0.  A
+larger slack only keeps children the bound could have cut.  The unpruned mode
+applies no bound either: it stays the exhaustive reference.
 """
 
 from __future__ import annotations
@@ -80,17 +93,21 @@ def verify_structure(code: KeyedCode) -> StructureReport:
 class SearchResult:
     """Outcome of a brute-force search.
 
-    ``best_delta`` is exact (Fraction) for exact alphabets.  ``pruned``
-    counts subtrees cut by the light-bin rule, ``candidates_examined`` the
-    complete binnings evaluated.  ``exhaustive`` records that the requested
-    space was fully covered (pruning only removes candidates dominated by a
-    retained one, so it does not reset the flag).
+    ``best_delta`` is exact (Fraction) for exact alphabets.
+    ``candidates_examined`` counts the complete binnings evaluated,
+    ``pruned`` the subtrees cut by the light-bin rule, and ``bound_cuts``
+    the subtrees cut because their Cauchy-Schwarz lower bound strictly
+    exceeds the best score found so far (both zero when ``prune`` is off).
+    ``exhaustive`` records that the requested space was fully covered
+    (pruning only removes candidates dominated by a retained one, so it
+    does not reset the flag).
     """
 
     best_code: KeyedCode
     best_delta: Scalar
     candidates_examined: int
     pruned: int
+    bound_cuts: int
     exhaustive: bool
 
 
@@ -110,8 +127,8 @@ def brute_force_optimal(
         r_range: half-open (lo, hi) range of bin counts; None means (m, 2m),
             which is where minimal codes live.  Values of hi beyond 2m are
             legitimate in unpruned exploration.
-        prune: apply the light-bin rule (default).  Pruned and unpruned
-            searches return the same best advantage.
+        prune: apply the light-bin rule and the bound cut (default).
+            Pruned and unpruned searches return the same best advantage.
         force: search beyond the caps m <= MAX_M and k <= MAX_K.  The
             space grows factorially, so without it such instances raise
             CapExceededError.
@@ -147,10 +164,14 @@ def brute_force_optimal(
     if exact:
         values, denom = _over_common_denominator(values)
         scale = lcm(*range(1, cap + 1))
+        slack = 0
+    else:
+        scale = 1
+        slack = 1e-12 * cap * sum(v * v for v in values)  # for the bound cut
 
     remaining = [cap] * m
     bins: list[tuple[int, ...]] = []
-    examined = pruned = 0
+    examined = pruned = bound_cuts = 0
     best = None  # (score, completed table, code); the smaller pair wins
 
     def contents(grown: tuple[int, ...], s, prev: tuple[int, ...]):
@@ -165,8 +186,8 @@ def brute_force_optimal(
             if remaining[v] >= nxt.count(v) and nxt >= prev[: len(nxt)]:
                 yield from contents(nxt, s + values[v], prev)
 
-    def walk(left: int, q, light: int) -> None:
-        nonlocal examined, pruned, best
+    def walk(left: int, q, light: int, rest) -> None:
+        nonlocal examined, pruned, bound_cuts, best
         if left == 0:
             if len(bins) < r_lo:
                 return  # below the requested bin-count range
@@ -188,15 +209,22 @@ def brute_force_optimal(
                 continue
             if left - n > (r_hi - 1 - len(bins) - 1) * cap:
                 continue  # remaining copies cannot fit behind this choice
+            child = q + (s * s * (scale // n) if exact else s * s / n)
+            c, r = left - n, rest - s
+            # the c unplaced copies, summing to r, add at least r^2 / c
+            if (prune and c and best is not None
+                    and c * child + r * r * scale > c * (best[0] + slack)):
+                bound_cuts += 1
+                continue
             for v in content:
                 remaining[v] -= 1
             bins.append(content)
-            walk(left - n, q + (s * s * (scale // n) if exact else s * s / n), new_light)
+            walk(c, child, new_light, r)
             bins.pop()
             for v in content:
                 remaining[v] += 1
 
-    walk(m * cap, 0 if exact else 0.0, 0)
+    walk(m * cap, 0 if exact else 0.0, 0, cap * sum(values))
     if best is None:
         raise ValueError(f"no decodable code exists within bin-count range {r_range}")
     best_q, _, best_code = best
@@ -206,5 +234,6 @@ def brute_force_optimal(
         best_delta=best_delta,
         candidates_examined=examined,
         pruned=pruned,
+        bound_cuts=bound_cuts,
         exhaustive=True,
     )

@@ -215,13 +215,23 @@ def test_float_report_never_contradicts_itself(data):
     # still read 0 <= d_ach, 0 <= delta <= d_max, d_ach + delta = d_max.
     a = data.draw(_float_alphabets())
     code_a = _draw_code(data, a)
-    _assert_report_contract(bound_report(code_a, a))
+    rep = bound_report(code_a, a)
+    _assert_report_contract(rep)
+    assert achievable_distortion(code_a, a) == rep.d_ach
     one = JointSystem((a,), (code_a,), product_function([a.values]))
     _assert_report_contract(joint_distortion(one))
     b = data.draw(_float_alphabets())
     build = data.draw(st.sampled_from([sum_function, product_function]))
     two = JointSystem((a, b), (code_a, _draw_code(data, b)), build([a.values, b.values]))
     _assert_report_contract(joint_distortion(two))
+
+
+def test_float_achievable_distortion_is_the_reports_d_ach():
+    # The identity code reveals everything, so d_ach is 0; summing the
+    # within-bin spread on its own returned -8.9e-16 here.
+    a = make_alphabet([-2.942, 3.966], [0.3333333333333333, 0.6666666666666666])
+    code = identity_code(2)
+    assert achievable_distortion(code, a) == bound_report(code, a).d_ach == 0.0
 
 
 def test_posterior_means_of_a_transformed_payoff():

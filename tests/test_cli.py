@@ -197,6 +197,20 @@ def test_search_reports_exact_optimum(capsys):
     assert delta_closed_form(code, QUAD) == 0
 
 
+def test_search_reports_bound_cuts(capsys):
+    # m=5, k=2 sits on the default caps' edge; the walk without the bound
+    # cut took 40 s to reach the same answer.
+    rc, out, _ = run(capsys, "search", "--values", "1,2,3,4,5", "--k", "2", "--exact")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["best_delta_exact"] == "0"
+    assert doc["bound_cuts"] > 0
+    rc, out, _ = run(capsys, "search", "--values", "1,2,3", "--k", "2", "--exact",
+                     "--no-prune")
+    assert rc == 0
+    assert json.loads(out)["bound_cuts"] == 0
+
+
 def test_search_cap_exits_4(capsys):
     rc, _, err = run(capsys, "search", "--values", "1..9", "--k", "1")
     assert rc == 4 and "force" in err
@@ -246,6 +260,43 @@ def test_sweep_jobs_flag_is_equivalent(capsys, tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
     # 2 ks x 2 algs x 2 seeds rows plus header
     assert len(csv_rows(serial.read_bytes().decode())) == 9
+
+
+def test_sweep_pool_is_bounded_by_rows_and_cpus(capsys, tmp_path, monkeypatch):
+    # A pool starts all its workers at once; --jobs 100000 must not ask for
+    # 100000 of them.  The stand-in records the size and maps serially.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(distsec.cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(distsec.cli.os, "cpu_count", lambda: 4)
+    serial, bounded = tmp_path / "s.csv", tmp_path / "b.csv"
+    base = ("sweep", "--values", "1..6", "--k", "1..2", "--alg", "greedy,exchange",
+            "--seeds", "1,2")
+    rc, _, _ = run(capsys, *base, "-o", str(serial))
+    assert rc == 0 and sizes == []
+    rc, _, _ = run(capsys, *base, "--jobs", "100000", "-o", str(bounded))
+    assert rc == 0 and sizes == [4]  # 8 rows, 4 CPUs
+    assert serial.read_bytes() == bounded.read_bytes()
+    rc, _, _ = run(capsys, "sweep", "--values", "1..6", "--k", "1..3", "--alg", "greedy",
+                   "--jobs", "100000", "-o", str(bounded))
+    assert rc == 0 and sizes == [4, 3]  # 3 rows
+    monkeypatch.setattr(distsec.cli.os, "cpu_count", lambda: None)
+    rc, _, _ = run(capsys, *base, "--jobs", "100000", "-o", str(bounded))
+    assert rc == 0 and sizes == [4, 3]  # CPU count unknown: serial
+    assert serial.read_bytes() == bounded.read_bytes()
 
 
 def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_path):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from distsec import (
     CapExceededError,
@@ -57,27 +59,60 @@ def test_float_search_agrees_with_exact_on_large_offsets(values, k):
     assert abs(floaty.best_delta - exact.best_delta) <= 1e-9 * Fraction(5, 4)
 
 
-@pytest.mark.parametrize("values, k, options, delta, examined, pruned, table", [
-    (list(range(1, 9)), 1, {}, Fraction(0), 18155, 95796,
+@pytest.mark.parametrize("values, k, options, delta, counters, table", [
+    (list(range(1, 9)), 1, {}, Fraction(0), (213, 18335, 1057),
      ((0, 2, 4, 6, 7, 5, 3, 1), (1, 3, 5, 7, 6, 4, 2, 0))),
-    (list(range(1, 5)), 2, {}, Fraction(0), 18056, 55743,
+    (list(range(1, 5)), 2, {}, Fraction(0), (127, 558, 984),
      ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))),
-    ([9, 5, 2, 1], 1, {"prune": False}, Fraction(9, 16), 122, 0,
+    ([9, 5, 2, 1], 1, {"prune": False}, Fraction(9, 16), (122, 0, 0),
      ((0, 2, 3, 1), (1, 3, 2, 0))),
     ([Fraction(7, 3), Fraction(1, 2), -2, Fraction(5, 4), 3], 1, {"r_range": (5, 7)},
-     Fraction(109, 600), 73, 256, ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
+     Fraction(109, 600), (20, 119, 54), ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
     ([Fraction(7, 3), Fraction(1, 2), -2, Fraction(5, 4), 3], 1,
      {"r_range": (6, 8), "prune": False},
-     Fraction(109, 600), 590, 0, ((0, 2, 4, 3, 1), (1, 3, 5, 2, 0))),
-    ([0.1, 0.7, 0.2, 1e8], 1, {}, 624999990000000.1, 17, 48,
+     Fraction(109, 600), (590, 0, 0), ((0, 2, 4, 3, 1), (1, 3, 5, 2, 0))),
+    ([0.1, 0.7, 0.2, 1e8], 1, {}, 624999990000000.1, (17, 48, 0),
      ((0, 2, 3, 1), (1, 2, 3, 0))),
-])
-def test_search_walk_is_pinned(values, k, options, delta, examined, pruned, table):
-    # The walk order, its counters and the tie-break, as first recorded.
+    # The default caps' edge: the exhaustive walk took 40 s here.
+    ([1, 2, 3, 4, 5], 2, {}, Fraction(0), (1058, 5254, 14664),
+     ((0, 1, 2, 3, 4), (1, 0, 4, 3, 2), (2, 4, 5, 0, 1), (3, 4, 5, 1, 0))),
+    # Float ties at rounding level, one with an incumbent of exactly 0.0: a
+    # bound cut that rounding could tip over would pick another table.
+    ([0.1 * i for i in range(1, 9)], 1, {}, 1.1555579666323415e-33, (213, 18335, 1057),
+     ((0, 2, 4, 6, 7, 5, 3, 1), (1, 3, 5, 7, 6, 4, 2, 0))),
+    ([1e8 + 0.1 * i for i in range(1, 5)], 2, {}, 0.0, (78, 426, 876),
+     ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))),
+    # A float cut without slack reports 1.3999999999999996e-05 and another
+    # table here; a non-strict cut returns another table for the duplicates.
+    ([0.04, 0.03, 0.04, 0.01, 0.0], 1, {}, 1.3999999999999993e-05, (18, 105, 39),
+     ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
+    ([2, 1, 1], 2, {}, Fraction(0), (57, 137, 115),
+     ((0, 1, 2), (1, 0, 3), (2, 3, 0), (3, 2, 1))),
+], ids=["regular8-k1", "regular4-k2", "irregular-noprune", "fractions-r5-7",
+        "fractions-r6-8-noprune", "float-offset", "regular5-k2", "float-tie-k1",
+        "float-offset-tie-k2", "float-slack-k1", "duplicates-k2"])
+def test_search_walk_is_pinned(values, k, options, delta, counters, table):
+    # The walk order, its counters and the tie-break.  Tables and deltas are
+    # as first recorded by the walk without the bound cut; the counters are
+    # (candidates_examined, pruned, bound_cuts).
     result = brute_force_optimal(make_alphabet(values), k, **options)
-    assert (result.candidates_examined, result.pruned) == (examined, pruned)
+    assert (result.candidates_examined, result.pruned, result.bound_cuts) == counters
     assert result.best_code.assignment == table
     assert type(result.best_delta) is type(delta) and result.best_delta == delta
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_bound_cut_keeps_the_exhaustive_optimum(data):
+    k = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(2, 5 if k == 1 else 3))
+    value = st.one_of(
+        st.integers(-20, 20),
+        st.fractions(Fraction(-5), Fraction(5), max_denominator=6),
+    )
+    a = make_alphabet(data.draw(st.lists(value, min_size=m, max_size=m)))
+    cut = brute_force_optimal(a, k)
+    assert cut.best_delta == brute_force_optimal(a, k, prune=False).best_delta
 
 
 def test_pruning_shrinks_the_walk_without_changing_the_answer():
