@@ -34,7 +34,7 @@ from .model import (
     scalar_from_json,
 )
 from .multisource import JointSystem, SeparableFunction, joint_distortion
-from .search import MAX_K, MAX_M, brute_force_optimal
+from .search import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, brute_force_optimal
 from .simulation import SimConfig, simulate
 
 # Largest m * 2**k (value, key) table a construction may build.  Exchange
@@ -472,9 +472,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-lo", type=int, default=None)
     p.add_argument("--r-hi", type=int, default=None)
     p.add_argument("--no-prune", action="store_true",
-                   help="disable the light-bin pruning rule")
+                   help="disable the light-bin pruning rule and the bound cut, "
+                   f"walking every binning (m*2**k <= {MAX_UNPRUNED_COPIES})")
     p.add_argument("--force", action="store_true",
-                   help=f"search beyond the caps m <= {MAX_M}, k <= {MAX_K}")
+                   help=f"search beyond the caps m <= {MAX_M}, k <= {MAX_K} "
+                   f"and, with --no-prune, m*2**k <= {MAX_UNPRUNED_COPIES}")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("compose", parents=[common], help="analyze a multi-source system")

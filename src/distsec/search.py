@@ -3,9 +3,9 @@
 The advantage depends on a code only through its unordered bin contents, so
 instead of walking per-key assignment tables the search walks binnings:
 partitions of the multiset holding 2**k copies of every value index into bins
-of at most 2**k elements.  Each binning is completed to a decodable code by
-proper edge coloring; the two views cover the same codes up to relabeling of
-keys and bins, and the binning space is factorially smaller.
+of at most 2**k elements.  The winning binning is completed to a decodable
+code by proper edge coloring; the two views cover the same codes up to
+relabeling of keys and bins, and the binning space is factorially smaller.
 
 Partitions are generated as lexicographically sorted bin sequences (each bin
 an ascending tuple, bins non-decreasing), which visits every partition
@@ -23,16 +23,22 @@ mode exists to test that claim, not to find better codes.
 
 Pruning also cuts by a bound.  With c copies still unplaced and R their
 centred sum, Cauchy-Schwarz gives sum_j S_j^2 / n_j >= R^2 / c over the bins
-still to come, so a child whose score plus R^2 / c exceeds the best complete
-score found so far cannot lead to a better leaf and is skipped.  The cut is
-strict: a leaf that ties the incumbent is still reached, completed and
-compared by its table, so the answer and its tie-break are the ones the walk
-gives without the bound.  Exact alphabets compare in integers.  Floats allow a
-slack of 1e-12 times the walk's total, 2**k times the sum of squared centred
-values: far above the rounding of the few sums involved, so a rounded R never
-cuts a leaf that ties the incumbent, even an incumbent of exactly 0.0.  A
-larger slack only keeps children the bound could have cut.  The unpruned mode
-applies no bound either: it stays the exhaustive reference.
+still to come, so a child whose score plus R^2 / c reaches the incumbent's
+score cannot lead to a strictly better leaf and is skipped; at an exact
+incumbent of 0 every child is, and the walk ends.  Exact alphabets compare
+in integers.  Floats allow a slack of 1e-12 times the walk's total, 2**k times
+the sum of squared centred values: far above the rounding of the few sums
+involved, so a rounded R never cuts a leaf that scores below the incumbent,
+even an incumbent of exactly 0.0.  A larger slack only keeps children the
+bound could have cut.  The unpruned mode applies no bound either: it stays
+the exhaustive reference.
+
+The search ranks binnings alone.  When r = m is in the requested range the
+incumbent starts as the greedy code's binning, scored as the walk would
+score it, and a leaf replaces the incumbent only with a strictly lower
+score.  So the winner is the greedy code's binning when no binning scores
+strictly lower, and otherwise the first optimal binning in walk order, the
+lexicographically smallest one.  Only the winner is completed to a code.
 """
 
 from __future__ import annotations
@@ -42,12 +48,15 @@ from fractions import Fraction
 from math import lcm
 
 from .analysis import _over_common_denominator
-from .encoders import Binning, complete_key_assignment
+from .encoders import Binning, complete_key_assignment, greedy_code
 from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, arithmetic_view
 
 # Desk-scale caps: the binning space grows factorially in m and in 2**k.
 MAX_M = 8
 MAX_K = 2
+# The unpruned walk visits every binning: m * 2**k = 16 copies take seconds,
+# a few more take hours.
+MAX_UNPRUNED_COPIES = 16
 
 
 @dataclass(frozen=True)
@@ -64,10 +73,6 @@ class StructureReport:
 
     at_most_one_light_bin: bool
     bin_count_in_range: bool
-
-    @property
-    def all_ok(self) -> bool:
-        return self.at_most_one_light_bin and self.bin_count_in_range
 
 
 def verify_structure(code: KeyedCode) -> StructureReport:
@@ -94,10 +99,12 @@ class SearchResult:
     """Outcome of a brute-force search.
 
     ``best_delta`` is exact (Fraction) for exact alphabets.
-    ``candidates_examined`` counts the complete binnings evaluated,
-    ``pruned`` the subtrees cut by the light-bin rule, and ``bound_cuts``
-    the subtrees cut because their Cauchy-Schwarz lower bound strictly
-    exceeds the best score found so far (both zero when ``prune`` is off).
+    ``candidates_examined`` counts the complete binnings the walk reaches;
+    the greedy code's binning the walk starts from is not counted unless
+    the walk reaches it.  ``pruned`` counts the subtrees cut by the
+    light-bin rule, and ``bound_cuts`` the subtrees cut because their
+    Cauchy-Schwarz lower bound reaches the incumbent's score (both zero
+    when ``prune`` is off).
     ``exhaustive`` records that the requested space was fully covered
     (pruning only removes candidates dominated by a retained one, so it
     does not reset the flag).
@@ -129,12 +136,15 @@ def brute_force_optimal(
             legitimate in unpruned exploration.
         prune: apply the light-bin rule and the bound cut (default).
             Pruned and unpruned searches return the same best advantage.
-        force: search beyond the caps m <= MAX_M and k <= MAX_K.  The
-            space grows factorially, so without it such instances raise
+        force: search beyond the caps m <= MAX_M and k <= MAX_K, and
+            unpruned beyond m * 2**k <= MAX_UNPRUNED_COPIES.  The space
+            grows factorially, so without it such instances raise
             CapExceededError.
 
-    Ties between equally good binnings go to the lexicographically smallest
-    completed assignment table, making the result deterministic.
+    Ties between equally good binnings go to the greedy code's binning when
+    r = m is in range and no binning scores strictly lower, and otherwise to
+    the lexicographically smallest optimal binning (bins sorted, contents
+    ascending), making the result deterministic.
     """
     if k < 0:
         raise ValueError("key bit count must be >= 0")
@@ -147,6 +157,11 @@ def brute_force_optimal(
         )
     m = alphabet.m
     cap = 2**k
+    if not prune and m * cap > MAX_UNPRUNED_COPIES and not force:
+        raise CapExceededError(
+            f"m={m}, k={k} gives {m * cap} copies, above the unpruned cap of "
+            f"{MAX_UNPRUNED_COPIES}; pass force=True to search anyway"
+        )
     if r_range is None:
         r_range = (m, 2 * m)
     r_lo, r_hi = r_range
@@ -169,10 +184,24 @@ def brute_force_optimal(
         scale = 1
         slack = 1e-12 * cap * sum(v * v for v in values)  # for the bound cut
 
+    best = None  # (score, bins); only a strictly lower score replaces it
+    if r_lo == m:
+        held = [[] for _ in range(m)]
+        for row in greedy_code(alphabet, k).assignment:
+            for v, b in enumerate(row):
+                held[b].append(v)
+        start = tuple(sorted(tuple(sorted(content)) for content in held))
+        q = 0 if exact else 0.0
+        for content in start:  # summed as the walk sums, so floats round alike
+            s = values[content[0]]
+            for v in content[1:]:
+                s = s + values[v]
+            q = q + (s * s * (scale // cap) if exact else s * s / cap)
+        best = (q, start)
+
     remaining = [cap] * m
     bins: list[tuple[int, ...]] = []
     examined = pruned = bound_cuts = 0
-    best = None  # (score, completed table, code); the smaller pair wins
 
     def contents(grown: tuple[int, ...], s, prev: tuple[int, ...]):
         """Ascending tuples extending ``grown`` within the remaining counts,
@@ -192,10 +221,8 @@ def brute_force_optimal(
             if len(bins) < r_lo:
                 return  # below the requested bin-count range
             examined += 1
-            if best is None or q <= best[0]:
-                code = complete_key_assignment(Binning(m=m, bins=tuple(bins)), k)
-                if best is None or (q, code.assignment) < best[:2]:
-                    best = (q, code.assignment, code)
+            if best is None or q < best[0]:
+                best = (q, tuple(bins))
             return
         if len(bins) >= r_hi - 1:
             return  # bin budget exhausted with copies still unplaced
@@ -213,7 +240,7 @@ def brute_force_optimal(
             c, r = left - n, rest - s
             # the c unplaced copies, summing to r, add at least r^2 / c
             if (prune and c and best is not None
-                    and c * child + r * r * scale > c * (best[0] + slack)):
+                    and c * child + r * r * scale >= c * (best[0] + slack)):
                 bound_cuts += 1
                 continue
             for v in content:
@@ -227,10 +254,10 @@ def brute_force_optimal(
     walk(m * cap, 0 if exact else 0.0, 0, cap * sum(values))
     if best is None:
         raise ValueError(f"no decodable code exists within bin-count range {r_range}")
-    best_q, _, best_code = best
+    best_q, best_bins = best
     best_delta = (Fraction(best_q, scale * denom * denom) if exact else best_q) / (cap * m)
     return SearchResult(
-        best_code=best_code,
+        best_code=complete_key_assignment(Binning(m=m, bins=best_bins), k),
         best_delta=best_delta,
         candidates_examined=examined,
         pruned=pruned,

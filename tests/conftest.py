@@ -9,12 +9,13 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 from math import prod
 
 import numpy as np
 
-from distsec import Binning, KeyedCode, SourceAlphabet, make_alphabet
+from distsec import Binning, KeyedCode, SourceAlphabet, greedy_code, make_alphabet
 
 
 def random_code(rng: np.random.Generator, m: int, k: int, r: int) -> KeyedCode:
@@ -86,6 +87,71 @@ def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
     else:
         raise RuntimeError("reference swap loop did not settle")
     return Binning(m=m, bins=tuple(tuple(c) for c in bins)), trace
+
+
+
+@lru_cache(maxsize=None)
+def _canonical_binnings(m: int, k: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Every partition of 2**k copies of each index in range(m) into bins of
+    at most 2**k copies, as sorted tuples of ascending bins.
+
+    Bin types come from itertools; a partition is a multiplicity for each
+    type, chosen type by type until every copy is placed.
+    """
+    copies = 2**k
+    types = [
+        c for n in range(1, copies + 1) for c in combinations_with_replacement(range(m), n)
+    ]
+    needs = [tuple(c.count(v) for v in range(m)) for c in types]
+    found = []
+
+    def choose(t: int, left: tuple[int, ...], chosen: list) -> None:
+        if not any(left):
+            found.append(tuple(sorted(chosen)))
+            return
+        if t == len(types):
+            return
+        times = 0
+        while True:
+            choose(t + 1, left, chosen + [types[t]] * times)
+            left = tuple(a - b for a, b in zip(left, needs[t]))
+            if min(left) < 0:
+                return
+            times += 1
+
+    choose(0, (copies,) * m, [])
+    return tuple(found)
+
+
+def search_reference(
+    alphabet: SourceAlphabet, k: int, r_range=None, prune: bool = True
+) -> tuple[tuple[int, ...], ...]:
+    """The binning ``brute_force_optimal`` must pick, by plain enumeration in
+    Fractions: the greedy code's binning when r = m is in range and no
+    binning scores strictly lower, otherwise the lexicographically smallest
+    optimal binning.  ``prune`` applies the light-bin rule (at most one bin
+    of at most 2**(k-1) copies).  Raises ValueError when no binning is left.
+    """
+    m, copies = alphabet.m, 2**k
+    lo, hi = r_range if r_range is not None else (m, 2 * m)
+    values = [Fraction(v) for v in alphabet.values]
+
+    def score(binning):
+        return sum(sum(values[v] for v in b) ** 2 / len(b) for b in binning)
+
+    scored = [
+        (score(b), b) for b in _canonical_binnings(m, k)
+        if lo <= len(b) < hi
+        and not (prune and sum(1 for c in b if 2 * len(c) <= copies) > 1)
+    ]
+    if not scored:
+        raise ValueError("no binning in range")
+    best = min(s for s, _ in scored)
+    if lo <= m < hi:
+        greedy = tuple(sorted(binning_of(greedy_code(alphabet, k)).bins))
+        if score(greedy) == best:
+            return greedy
+    return min(b for s, b in scored if s == best)
 
 
 @dataclass(frozen=True)

@@ -185,7 +185,9 @@ def test_bad_values_exit_3(capsys):
 
 
 def test_search_reports_exact_optimum(capsys):
-    rc, out, _ = run(capsys, "search", "--values", "1,2,3,4", "--k", "1")
+    # r = m is out of range, so the walk has no greedy start and must prune
+    rc, out, _ = run(capsys, "search", "--values", "1,2,3", "--k", "2",
+                     "--r-lo", "4", "--r-hi", "6")
     assert rc == 0
     doc = json.loads(out)
     assert doc["version"] == 1
@@ -194,7 +196,8 @@ def test_search_reports_exact_optimum(capsys):
     assert doc["exhaustive"] is True
     assert doc["pruned"] > 0
     code = code_from_dict(doc["best_code"])
-    assert delta_closed_form(code, QUAD) == 0
+    assert code.r == 4
+    assert delta_closed_form(code, make_alphabet([1, 2, 3])) == 0
 
 
 def test_search_reports_bound_cuts(capsys):
@@ -209,6 +212,14 @@ def test_search_reports_bound_cuts(capsys):
                      "--no-prune")
     assert rc == 0
     assert json.loads(out)["bound_cuts"] == 0
+
+
+def test_search_at_the_cap_corner_finishes():
+    # m=8, k=2 is the largest search the default caps admit; it took 101 s
+    # while every binning tying the optimum was completed to a code.
+    done = run_bounded("search", "--values", "1..8", "--k", "2", "--exact")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["best_delta_exact"] == "0"
 
 
 def test_search_cap_exits_4(capsys):
@@ -704,6 +715,8 @@ MALFORMED = [
     ("analyze --code {tmp}/code.json --values 1,2,3,1e400", 3, "value must be finite, got inf"),
     ("search --values 1..9 --k 1", 4, "m=9, k=1 " + _SEARCH_CAP),
     ("search --values 1,2 --k 3", 4, "m=2, k=3 " + _SEARCH_CAP),
+    ("search --values 1..5 --k 2 --no-prune", 4,
+     "m=5, k=2 gives 20 copies, above the unpruned cap of 16; pass force=True to search anyway"),
     ("search --values 1,2 --k 1 --r-lo 2", 2, "--r-lo and --r-hi go together"),
     ("search --values 1,2 --k 1 --pmf 0.9,0.1", 3, "search requires a uniform alphabet"),
     ("search --values 1,2 --k 1 --r-lo 5 --r-hi 5", 3, "empty bin-count range (5, 5) for m=2"),

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distsec.search
+from conftest import binning_of, search_reference
 from distsec import (
     CapExceededError,
     KeyedCode,
@@ -60,40 +62,46 @@ def test_float_search_agrees_with_exact_on_large_offsets(values, k):
 
 
 @pytest.mark.parametrize("values, k, options, delta, counters, table", [
-    (list(range(1, 9)), 1, {}, Fraction(0), (213, 18335, 1057),
+    (list(range(1, 9)), 1, {}, Fraction(0), (0, 0, 9),
      ((0, 2, 4, 6, 7, 5, 3, 1), (1, 3, 5, 7, 6, 4, 2, 0))),
-    (list(range(1, 5)), 2, {}, Fraction(0), (127, 558, 984),
-     ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))),
+    (list(range(1, 5)), 2, {}, Fraction(0), (0, 0, 35),
+     ((0, 2, 3, 1), (0, 2, 3, 1), (1, 3, 2, 0), (1, 3, 2, 0))),
     ([9, 5, 2, 1], 1, {"prune": False}, Fraction(9, 16), (122, 0, 0),
      ((0, 2, 3, 1), (1, 3, 2, 0))),
     ([Fraction(7, 3), Fraction(1, 2), -2, Fraction(5, 4), 3], 1, {"r_range": (5, 7)},
-     Fraction(109, 600), (20, 119, 54), ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
+     Fraction(109, 600), (0, 0, 14), ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
     ([Fraction(7, 3), Fraction(1, 2), -2, Fraction(5, 4), 3], 1,
      {"r_range": (6, 8), "prune": False},
      Fraction(109, 600), (590, 0, 0), ((0, 2, 4, 3, 1), (1, 3, 5, 2, 0))),
-    ([0.1, 0.7, 0.2, 1e8], 1, {}, 624999990000000.1, (17, 48, 0),
-     ((0, 2, 3, 1), (1, 2, 3, 0))),
+    ([0.1, 0.7, 0.2, 1e8], 1, {}, 624999990000000.1, (2, 3, 7),
+     ((0, 2, 3, 1), (1, 3, 2, 0))),
     # The default caps' edge: the exhaustive walk took 40 s here.
-    ([1, 2, 3, 4, 5], 2, {}, Fraction(0), (1058, 5254, 14664),
-     ((0, 1, 2, 3, 4), (1, 0, 4, 3, 2), (2, 4, 5, 0, 1), (3, 4, 5, 1, 0))),
-    # Float ties at rounding level, one with an incumbent of exactly 0.0: a
-    # bound cut that rounding could tip over would pick another table.
-    ([0.1 * i for i in range(1, 9)], 1, {}, 1.1555579666323415e-33, (213, 18335, 1057),
+    ([1, 2, 3, 4, 5], 2, {}, Fraction(0), (0, 0, 56),
+     ((0, 2, 4, 3, 1), (0, 2, 4, 3, 1), (1, 3, 4, 2, 0), (1, 3, 4, 2, 0))),
+    # Float ties at rounding level, one with an incumbent of exactly 0.0,
+    # where a cut without the float slack shows in the counters.
+    ([0.1 * i for i in range(1, 9)], 1, {}, 1.1555579666323415e-33, (1, 0, 20),
      ((0, 2, 4, 6, 7, 5, 3, 1), (1, 3, 5, 7, 6, 4, 2, 0))),
-    ([1e8 + 0.1 * i for i in range(1, 5)], 2, {}, 0.0, (78, 426, 876),
-     ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))),
+    ([1e8 + 0.1 * i for i in range(1, 5)], 2, {}, 0.0, (4, 20, 118),
+     ((0, 2, 3, 1), (0, 2, 3, 1), (1, 3, 2, 0), (1, 3, 2, 0))),
     # A float cut without slack reports 1.3999999999999996e-05 and another
-    # table here; a non-strict cut returns another table for the duplicates.
-    ([0.04, 0.03, 0.04, 0.01, 0.0], 1, {}, 1.3999999999999993e-05, (18, 105, 39),
+    # table here.
+    ([0.04, 0.03, 0.04, 0.01, 0.0], 1, {}, 1.3999999999999993e-05, (3, 3, 13),
      ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
-    ([2, 1, 1], 2, {}, Fraction(0), (57, 137, 115),
-     ((0, 1, 2), (1, 0, 3), (2, 3, 0), (3, 2, 1))),
+    ([2, 1, 1], 2, {}, Fraction(0), (2, 5, 39),
+     ((3, 1, 2), (1, 0, 2), (2, 0, 3), (0, 1, 3))),
+    # The other corner of the default caps: 101 s while every tying leaf
+    # was completed for a table tie-break.
+    (list(range(1, 9)), 2, {}, Fraction(0), (0, 0, 165),
+     ((0, 2, 4, 6, 7, 5, 3, 1), (0, 2, 4, 6, 7, 5, 3, 1),
+      (1, 3, 5, 7, 6, 4, 2, 0), (1, 3, 5, 7, 6, 4, 2, 0))),
 ], ids=["regular8-k1", "regular4-k2", "irregular-noprune", "fractions-r5-7",
         "fractions-r6-8-noprune", "float-offset", "regular5-k2", "float-tie-k1",
-        "float-offset-tie-k2", "float-slack-k1", "duplicates-k2"])
+        "float-offset-tie-k2", "float-slack-k1", "duplicates-k2", "regular8-k2"])
 def test_search_walk_is_pinned(values, k, options, delta, counters, table):
-    # The walk order, its counters and the tie-break.  Tables and deltas are
-    # as first recorded by the walk without the bound cut; the counters are
+    # The walk order, its counters and the tie-break.  Deltas are as first
+    # recorded by the exhaustive walk; tables are the completions of the
+    # binning the tie-break rule picks.  The counters are
     # (candidates_examined, pruned, bound_cuts).
     result = brute_force_optimal(make_alphabet(values), k, **options)
     assert (result.candidates_examined, result.pruned, result.bound_cuts) == counters
@@ -115,9 +123,55 @@ def test_bound_cut_keeps_the_exhaustive_optimum(data):
     assert cut.best_delta == brute_force_optimal(a, k, prune=False).best_delta
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_search_picks_the_reference_binning(data):
+    k = data.draw(st.integers(1, 2))
+    m = data.draw(st.integers(1, 5 if k == 1 else 3))
+    value = st.one_of(
+        st.integers(-6, 6),
+        st.fractions(Fraction(-3), Fraction(3), max_denominator=4),
+    )
+    a = make_alphabet(data.draw(st.lists(value, min_size=m, max_size=m)))
+    prune = data.draw(st.booleans())
+    r_range = data.draw(st.one_of(
+        st.none(), st.tuples(st.integers(0, 2 * m + 1), st.integers(m, 2 * m + 2))
+    ))
+    try:
+        want = search_reference(a, k, r_range, prune)
+    except ValueError:
+        with pytest.raises(ValueError):
+            brute_force_optimal(a, k, r_range=r_range, prune=prune)
+        return
+    result = brute_force_optimal(a, k, r_range=r_range, prune=prune)
+    assert tuple(sorted(binning_of(result.best_code).bins)) == want
+
+
+def test_search_completes_only_the_winner(monkeypatch):
+    calls = []
+    complete = distsec.search.complete_key_assignment
+
+    def counted(binning, k):
+        calls.append(binning)
+        return complete(binning, k)
+
+    monkeypatch.setattr(distsec.search, "complete_key_assignment", counted)
+    for values, k, options in [
+        ([1, 3, 3, 2], 1, {}),
+        ([2, 1, 1], 2, {}),
+        ([9, 5, 2, 1], 1, {"prune": False}),
+        ([1, 2, 3], 2, {"r_range": (4, 6)}),
+    ]:
+        calls.clear()
+        brute_force_optimal(make_alphabet(values), k, **options)
+        assert len(calls) == 1
+
+
 def test_pruning_shrinks_the_walk_without_changing_the_answer():
-    pruned = brute_force_optimal(QUAD, 1, prune=True)
-    full = brute_force_optimal(QUAD, 1, prune=False)
+    # r = m is out of range, so no greedy start ends the walk early
+    a = make_alphabet([1, 2, 3])
+    pruned = brute_force_optimal(a, 2, r_range=(4, 6), prune=True)
+    full = brute_force_optimal(a, 2, r_range=(4, 6), prune=False)
     assert pruned.best_delta == full.best_delta
     assert pruned.candidates_examined < full.candidates_examined
     assert pruned.pruned > 0
@@ -130,8 +184,9 @@ def test_search_two_bits_at_least_matches_greedy():
 
 
 def test_search_zero_bits_has_one_candidate():
+    # unpruned, so the bound cut cannot end the walk before its one leaf
     a = make_alphabet([1, 2, 3])
-    result = brute_force_optimal(a, 0)
+    result = brute_force_optimal(a, 0, prune=False)
     assert result.best_delta == max_distortion(a)
     assert result.candidates_examined == 1
 
@@ -141,7 +196,7 @@ def test_search_optimum_has_the_expected_shape():
     for m in (2, 3, 4):
         a = make_alphabet([int(v) for v in rng.integers(-50, 51, size=m)])
         report = verify_structure(brute_force_optimal(a, 1).best_code)
-        assert report.all_ok
+        assert report.at_most_one_light_bin and report.bin_count_in_range
 
 
 def test_search_is_deterministic():
@@ -158,6 +213,8 @@ def test_search_caps_guard_the_factorial_space():
         brute_force_optimal(big, 1)
     with pytest.raises(CapExceededError):
         brute_force_optimal(QUAD, 3)
+    with pytest.raises(CapExceededError, match="unpruned cap of 16"):
+        brute_force_optimal(make_alphabet([1, 2, 3, 4, 5]), 2, prune=False)
     forced = brute_force_optimal(big, 0, force=True)  # k=0 stays tiny
     assert forced.best_delta == max_distortion(big)
 
@@ -194,5 +251,5 @@ def test_verify_structure_flags_light_bins_and_bin_count():
     report = verify_structure(spread_thin)
     assert not report.at_most_one_light_bin
     assert not report.bin_count_in_range
-    assert not report.all_ok
-    assert verify_structure(identity_code(5)).all_ok
+    report = verify_structure(identity_code(5))
+    assert report.at_most_one_light_bin and report.bin_count_in_range
