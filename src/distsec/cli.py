@@ -10,13 +10,11 @@ Runs with identical flags and seeds write byte-identical output.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from .analysis import bound_report, decay_bounds
@@ -168,8 +166,12 @@ def _load_code(path: str, exact: bool) -> KeyedCode:
         raise ValueError(f"{path}: {e}") from e
 
 
-def _alphabet_id(alphabet: SourceAlphabet) -> str:
-    blob = json.dumps(alphabet_to_dict(alphabet), sort_keys=True, default=str)
+def _content_id(doc) -> str:
+    """A report row's id: the first 12 hex digits of the SHA-1 of ``doc`` as
+    sorted-key JSON."""
+    import hashlib  # on use: most subcommands never hash
+
+    blob = json.dumps(doc, sort_keys=True, default=str)
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
 
 
@@ -213,11 +215,14 @@ def _report_row(row_id: str, m: int, k: int, alg: str, seed, report, bounds=None
     ]
 
 
-def _alphabet_row(code: KeyedCode, alphabet: SourceAlphabet, alg: str, seed) -> list[str]:
-    """The report row of one code on a single source."""
+def _alphabet_row(
+    row_id: str, code: KeyedCode, alphabet: SourceAlphabet, alg: str, seed
+) -> list[str]:
+    """The report row of one code on a single source; ``row_id`` is the
+    alphabet's content id."""
     report = bound_report(code, alphabet)
     bounds = decay_bounds(alphabet, code.k, report.d_max)
-    return _report_row(_alphabet_id(alphabet), alphabet.m, code.k, alg, seed, report, bounds)
+    return _report_row(row_id, alphabet.m, code.k, alg, seed, report, bounds)
 
 
 def _check_construction(m: int, k: int) -> None:
@@ -259,7 +264,7 @@ def _cmd_encode(args) -> int:
 def _cmd_analyze(args) -> int:
     alphabet = _load_alphabet(args)
     code = _load_code(args.code, args.exact)
-    row = _alphabet_row(code, alphabet, "na", None)
+    row = _alphabet_row(_content_id(alphabet_to_dict(alphabet)), code, alphabet, "na", None)
     _write_text(args.output, _csv_text(REPORT_COLUMNS, [row]))
     return 0
 
@@ -347,9 +352,8 @@ def _cmd_compose(args) -> int:
     doc = _read_json(args.config, args.exact)
     system = _parse_system(doc, os.path.dirname(os.path.abspath(args.config)), args.exact)
     report = joint_distortion(system)
-    blob = json.dumps(doc, sort_keys=True, default=str)
     row = _report_row(
-        hashlib.sha1(blob.encode()).hexdigest()[:12],
+        _content_id(doc),
         math.prod(a.m for a in system.sources),
         system.total_key_bits,
         "compose",
@@ -385,9 +389,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _sweep_row(spec) -> list[str]:
-    alphabet, k, alg, seed = spec
+    row_id, alphabet, k, alg, seed = spec
     code = _build_code(alg, alphabet, k if alg != "identity" else 0, seed)
-    return _alphabet_row(code, alphabet, alg, seed)
+    return _alphabet_row(row_id, code, alphabet, alg, seed)
 
 
 def _cmd_sweep(args) -> int:
@@ -409,17 +413,25 @@ def _cmd_sweep(args) -> int:
     _check_construction(alphabet.m, max(ks) if keyed else 0)
 
     # Rows use the alphabet as loaded; a rebuilt one could change arithmetic
-    # domain (a float pmf equal to 1/m would come back exact).
+    # domain (a float pmf equal to 1/m would come back exact).  Its id is
+    # hashed once, here, before any worker forks.
+    row_id = _content_id(alphabet_to_dict(alphabet))
     specs = []
     for k in ks:
         for alg in algs:
             if alg == "identity" and k != min(ks):
                 continue  # identity has no key; one row per seed
             for seed in seeds:
-                specs.append((alphabet, k, alg, seed))
+                specs.append((row_id, alphabet, k, alg, seed))
     # More workers than rows or CPUs cannot help, and the pool starts them all.
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "exchange" in algs:
+            # Exchange rows need numpy: imported before the fork, it is
+            # imported once instead of once per worker.
+            import numpy  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, specs))
     else:

@@ -12,8 +12,6 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import KeyedCode, SourceAlphabet
 
 _SWAP_LIMIT = 1_000_000
@@ -134,6 +132,8 @@ def exchange_binning(
         raise ValueError(f"r={r} unsupported: only r = m bins")
 
     copies = 2**k
+    import numpy as np  # on use: it is most of the package's import time
+
     rng = np.random.default_rng(seed)
     shuffled = rng.permutation(np.repeat(np.arange(m), copies))
     bins = [sorted(int(v) for v in shuffled[i * copies : (i + 1) * copies]) for i in range(m)]

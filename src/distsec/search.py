@@ -18,8 +18,12 @@ L = lcm(1..2**k), and divide by L D^2 once at the end.
 Pruning (on by default) drops any partial partition with two bins of at most
 2**(k-1) elements: two such bins can be merged into one legal bin, and
 coarsening what the eavesdropper sees never increases her estimate's
-accuracy, so some optimal binning always survives the rule.  The unpruned
-mode exists to test that claim, not to find better codes.
+accuracy, so some optimal binning always survives the rule.  Merging lowers
+the bin count by one, so the rule applies only where the merged binning
+stays in the requested range: always when its lower end is m (two light
+bins force r > m), and otherwise only once the partial partition already
+holds as many bins as that lower end.  The unpruned mode exists to test that
+claim, not to find better codes.
 
 Pruning also cuts by a bound.  With c copies still unplaced and R their
 centred sum, Cauchy-Schwarz gives sum_j S_j^2 / n_j >= R^2 / c over the bins
@@ -135,7 +139,11 @@ def brute_force_optimal(
             which is where minimal codes live.  Values of hi beyond 2m are
             legitimate in unpruned exploration.
         prune: apply the light-bin rule and the bound cut (default).
-            Pruned and unpruned searches return the same best advantage.
+            Pruned and unpruned searches return the same best advantage for
+            every r_range, because the light-bin rule cuts a second light
+            bin only where merging two light bins keeps the bin count at or
+            above the range's lower end (floats agree up to the rounding of
+            the scores).
         force: search beyond the caps m <= MAX_M and k <= MAX_K, and
             unpruned beyond m * 2**k <= MAX_UNPRUNED_COPIES.  The space
             grows factorially, so without it such instances raise
@@ -231,7 +239,7 @@ def brute_force_optimal(
         for content, s in contents((lowest,), values[lowest], prev):
             n = len(content)
             new_light = light + (1 if 2 * n <= cap else 0)
-            if prune and new_light > 1:
+            if prune and new_light > 1 and (r_lo == m or len(bins) >= r_lo):
                 pruned += 1
                 continue
             if left - n > (r_hi - 1 - len(bins) - 1) * cap:

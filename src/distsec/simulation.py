@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .analysis import _BinMoments
 from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet
 from .multisource import JointSystem, _compose, product_function
@@ -69,6 +67,8 @@ def _stream_sizes(trials: int) -> list[int]:
 
 def _estimates(moments: _BinMoments) -> np.ndarray:
     """Posterior mean per bin as floats, NaN for bins never observed."""
+    import numpy as np
+
     return np.array(
         [float(mu) if mu is not None else np.nan for mu in moments.posterior_means()]
     )
@@ -88,6 +88,8 @@ def simulate(config: SimConfig) -> SimReport:
     errors divided by sqrt(trials); with her estimator fixed to the analytic
     posterior mean, the empirical mean is unbiased for the analytic value.
     """
+    import numpy as np  # on use: it is most of the package's import time
+
     system = config.target
     if not isinstance(system, JointSystem):
         code, alphabet = system

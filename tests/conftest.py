@@ -129,8 +129,11 @@ def search_reference(
     """The binning ``brute_force_optimal`` must pick, by plain enumeration in
     Fractions: the greedy code's binning when r = m is in range and no
     binning scores strictly lower, otherwise the lexicographically smallest
-    optimal binning.  ``prune`` applies the light-bin rule (at most one bin
-    of at most 2**(k-1) copies).  Raises ValueError when no binning is left.
+    optimal binning.  ``prune`` applies the light-bin rule: a binning with
+    two or more bins of at most 2**(k-1) copies is dropped when ``lo`` is at
+    most m, or when its last such bin, in sorted order, sits at position
+    ``lo`` or later (merging two of them then leaves at least ``lo`` bins).
+    Raises ValueError when no binning is left.
     """
     m, copies = alphabet.m, 2**k
     lo, hi = r_range if r_range is not None else (m, 2 * m)
@@ -139,10 +142,13 @@ def search_reference(
     def score(binning):
         return sum(sum(values[v] for v in b) ** 2 / len(b) for b in binning)
 
+    def cut(binning):
+        light = [i for i, c in enumerate(binning) if 2 * len(c) <= copies]
+        return prune and len(light) > 1 and (lo <= m or light[-1] >= lo)
+
     scored = [
         (score(b), b) for b in _canonical_binnings(m, k)
-        if lo <= len(b) < hi
-        and not (prune and sum(1 for c in b if 2 * len(c) <= copies) > 1)
+        if lo <= len(b) < hi and not cut(b)
     ]
     if not scored:
         raise ValueError("no binning in range")

@@ -7,6 +7,7 @@ return codes.
 
 import argparse
 import ast
+import concurrent.futures
 import contextlib
 import copy
 import dataclasses
@@ -40,6 +41,8 @@ from distsec import (
 from distsec.cli import REPORT_COLUMNS, build_parser, main
 
 QUAD = make_alphabet([1, 2, 3, 4])
+# The package's source root, for child interpreters.
+SRC = str(Path(distsec.__file__).resolve().parents[1])
 
 
 def run(capsys, *argv):
@@ -51,11 +54,10 @@ def run(capsys, *argv):
 def run_bounded(*argv, seconds=30):
     """Run the CLI in a child process, killed (and the test failed) after
     ``seconds``: for inputs that could hang an in-process run."""
-    src = str(Path(distsec.__file__).resolve().parents[1])
     return subprocess.run(
         [sys.executable, "-m", "distsec.cli", *argv],
         capture_output=True, text=True, timeout=seconds,
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
     )
 
 
@@ -291,7 +293,8 @@ def test_sweep_pool_is_bounded_by_rows_and_cpus(capsys, tmp_path, monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(distsec.cli, "ProcessPoolExecutor", SerialPool)
+    # The CLI imports the pool class when it needs one, from concurrent.futures.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(distsec.cli.os, "cpu_count", lambda: 4)
     serial, bounded = tmp_path / "s.csv", tmp_path / "b.csv"
     base = ("sweep", "--values", "1..6", "--k", "1..2", "--alg", "greedy,exchange",
@@ -308,6 +311,80 @@ def test_sweep_pool_is_bounded_by_rows_and_cpus(capsys, tmp_path, monkeypatch):
     rc, _, _ = run(capsys, *base, "--jobs", "100000", "-o", str(bounded))
     assert rc == 0 and sizes == [4, 3]  # CPU count unknown: serial
     assert serial.read_bytes() == bounded.read_bytes()
+
+
+_LOADED = """
+import json, sys
+from distsec.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as e:
+    rc = e.code
+sys.stdout.flush()
+heavy = [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
+print(json.dumps([rc, heavy]), file=sys.stderr)
+"""
+
+
+def run_fresh(*argv):
+    """Run ``main(argv)`` in a fresh interpreter.  Returns the exit code, the
+    stdout bytes and which of numpy and concurrent.futures were loaded."""
+    done = subprocess.run(
+        [sys.executable, "-c", _LOADED, *argv],
+        capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    rc, heavy = json.loads(done.stderr.decode().splitlines()[-1])
+    return rc, done.stdout, set(heavy)
+
+
+def test_start_up_loads_only_what_the_subcommand_runs(tmp_path):
+    # numpy is most of the package's import time and only exchange's seeded
+    # shuffle and the sampler use it; the pool is only for sweep --jobs.
+    # pytest has already imported both, so only a fresh interpreter shows this.
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, distsec; "
+         "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.stdout == "[]\n"
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(code_to_dict(greedy_code(QUAD, 1))))
+    system = _write_system(tmp_path)
+    light = [
+        ("--help",),
+        ("search", "--values", "1,2,3", "--k", "1"),
+        ("analyze", "--code", str(code), "--values", "1..4"),
+        ("compose", "--config", str(system)),
+        ("encode", "--alg", "greedy", "--values", "1..4", "--k", "1"),
+    ]
+    for argv in light:
+        rc, out, heavy = run_fresh(*argv)
+        assert (rc, heavy) == (0, set()), argv
+        assert out
+    # Malformed input exits before the import.
+    rc, out, heavy = run_fresh("encode", "--alg", "exchange", "--values", "1,2,3",
+                               "--pmf", "0.5,0.25,0.25", "--k", "1")
+    assert (rc, out, heavy) == (3, b"", set())
+    for argv in [
+        ("encode", "--alg", "exchange", "--values", "1..4", "--k", "1"),
+        ("simulate", "--code", str(code), "--values", "1..4", "--trials", "100"),
+    ]:
+        rc, _, heavy = run_fresh(*argv)
+        assert (rc, heavy) == (0, {"numpy"}), argv
+
+
+def test_fresh_sweep_bytes_do_not_depend_on_jobs():
+    # A pooled sweep with exchange rows imports numpy before the workers
+    # fork; in process numpy is already loaded, so only a fresh run shows
+    # that the bytes do not depend on it.
+    base = ("sweep", "--values", "1..6", "--alg", "greedy,exchange", "--k", "0..2")
+    rc, serial, heavy = run_fresh(*base, "--jobs", "1")
+    assert (rc, heavy) == (0, {"numpy"})
+    assert len(csv_rows(serial.decode())) == 7
+    rc, pooled, heavy = run_fresh(*base, "--jobs", "2")
+    assert (rc, pooled) == (0, serial)
+    if (os.cpu_count() or 1) > 1:
+        assert heavy == {"numpy", "concurrent.futures"}
 
 
 def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_path):

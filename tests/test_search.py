@@ -110,8 +110,10 @@ def test_search_walk_is_pinned(values, k, options, delta, counters, table):
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=120, deadline=None, derandomize=True)
 def test_bound_cut_keeps_the_exhaustive_optimum(data):
+    # Both pruning rules, on the default range and on ranges whose lower end
+    # lies above m, where the light-bin rule must not merge r out of range.
     k = data.draw(st.integers(1, 2))
     m = data.draw(st.integers(2, 5 if k == 1 else 3))
     value = st.one_of(
@@ -119,8 +121,28 @@ def test_bound_cut_keeps_the_exhaustive_optimum(data):
         st.fractions(Fraction(-5), Fraction(5), max_denominator=6),
     )
     a = make_alphabet(data.draw(st.lists(value, min_size=m, max_size=m)))
-    cut = brute_force_optimal(a, k)
-    assert cut.best_delta == brute_force_optimal(a, k, prune=False).best_delta
+    lo = data.draw(st.integers(0, 2 * m + 1))
+    r_range = data.draw(st.one_of(
+        st.none(), st.tuples(st.just(lo), st.integers(max(lo, m) + 1, 2 * m + 3))
+    ))
+    try:
+        full = brute_force_optimal(a, k, r_range=r_range, prune=False)
+    except ValueError:
+        with pytest.raises(ValueError):
+            brute_force_optimal(a, k, r_range=r_range)
+        return
+    assert brute_force_optimal(a, k, r_range=r_range).best_delta == full.best_delta
+
+
+def test_light_bin_rule_keeps_the_optimum_above_a_raised_floor():
+    # With r >= 5 > m every binning has light bins; merging two of them
+    # would leave the range, so the rule may not cut them there.  The rule
+    # once returned 1/96 at k=2 and, at k=1, "no decodable code exists".
+    for k, delta in [(2, 0), (1, Fraction(1, 16))]:
+        pruned = brute_force_optimal(QUAD, k, r_range=(5, 8))
+        full = brute_force_optimal(QUAD, k, r_range=(5, 8), prune=False)
+        assert pruned.best_delta == full.best_delta == delta
+        assert 5 <= pruned.best_code.r < 8
 
 
 @given(st.data())
