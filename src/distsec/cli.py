@@ -427,11 +427,6 @@ def _cmd_sweep(args) -> int:
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-
-        if "exchange" in algs:
-            # Exchange rows need numpy: imported before the fork, it is
-            # imported once instead of once per worker.
-            import numpy  # noqa: F401
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, specs))
     else:

@@ -16,6 +16,95 @@ from .model import KeyedCode, SourceAlphabet
 
 _SWAP_LIMIT = 1_000_000
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(const: int, mult: int):
+    """SeedSequence's 32-bit hash, whose constant is multiplied by ``mult``
+    on every call."""
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg64_draws(seed: int):
+    """The 32-bit draws of numpy's ``default_rng(seed)``, as an endless iterator.
+
+    numpy's SeedSequence hashes the seed's 32-bit words (least significant
+    first) into a pool of four words and expands the pool into the 256 bits
+    that seed PCG64 (O'Neill 2014): a 128-bit LCG state and odd increment,
+    read through the XSL-RR output function.  A 32-bit draw is the low half
+    of one 64-bit output and the next draw its buffered high half.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+
+    def mix(x: int, y: int) -> int:
+        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+        return x ^ x >> 16
+
+    # Hash the first four words (zero-padded) into the pool, mix every pool
+    # word into every other, then mix any further word into each.
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight hashed 32-bit words, paired low word
+    # first into four 64-bit words, which give initstate (high 64 bits
+    # first) and then initseq.
+    expand = _hashmix(0x8B51F9DD, 0x58F38DED)
+    h = [expand(pool[i % 4]) for i in range(8)]
+    initstate = h[1] << 96 | h[0] << 64 | h[3] << 32 | h[2]
+    inc = (h[5] << 96 | h[4] << 64 | h[7] << 32 | h[6]) << 1 & _M128 | 1
+    # From state 0: one step (state = inc), add initstate, one more step.
+    state = (inc + initstate) * _PCG64_MULT + inc & _M128
+    while True:
+        state = state * _PCG64_MULT + inc & _M128
+        rot = state >> 122
+        x = (state >> 64 ^ state) & _M64
+        word = (x >> rot | x << (64 - rot)) & _M64
+        yield word & _M32
+        yield word >> 32
+
+
+def _seeded_permutation(m: int, copies: int, seed: int) -> list[int]:
+    """``copies`` copies of each of 0..m-1, shuffled exactly as numpy's
+    ``default_rng(seed).permutation(np.repeat(np.arange(m), copies))``.
+
+    That is Generator.shuffle's Fisher-Yates: for i = n-1 down to 1, swap
+    slot i with slot j, j drawn uniformly from [0, i] by masking a draw to
+    the smallest all-ones mask covering i and rejecting values above i.
+    """
+    n = m * copies
+    # numpy draws 32 bits while i <= 2**32 - 1 and 64 bits beyond; only the
+    # 32-bit branch is written out here.
+    if n > 1 << 32:
+        raise ValueError(f"{n} copies exceed the 2**32 the seeded shuffle supports")
+    items = [v for v in range(m) for _ in range(copies)]
+    draw = _pcg64_draws(seed).__next__
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = draw() & mask
+        while j > i:
+            j = draw() & mask
+        items[i], items[j] = items[j], items[i]
+    return items
+
 
 @dataclass(frozen=True)
 class Binning:
@@ -93,19 +182,24 @@ def exchange_binning(
 ) -> Binning:
     """Randomly partition 2**k copies of the alphabet, then repair by swaps.
 
-    Starts from a uniform random permutation of the m * 2**k value copies
-    (PCG64, seeded), chunked into m bins of 2**k.  While the largest and
-    smallest bin sums differ by more than the value spread d = y_max - y_min,
-    the largest value of the heaviest bin trades places with the smallest
-    value of the lightest bin.  Each such swap strictly lowers the sum of
-    squared bin sums: writing a, b for the swapped values and S_i, S_j for
-    the bin sums, the change is -2(a-b)(S_i - S_j - (a-b)), and with equal
-    bin sizes a - b is positive yet at most d < S_i - S_j.  The state space
-    is finite, so the loop terminates, with every final bin sum inside
-    [mean_sum - d, mean_sum + d].  The bin sums are taken once up front and
-    each swap re-sums only the two bins it touches.  On floats, where two
-    sums can differ by d in the reals but a hair more after rounding, the
-    loop also stops when a swap would exactly undo the one before it.
+    Starts from a uniform random permutation of the m * 2**k value copies,
+    chunked into m bins of 2**k.  The permutation is numpy's PCG64 stream,
+    ``default_rng(seed).permutation``, reproduced bit for bit in the
+    package: the result does not depend on whether or which numpy is
+    installed, and the construction never imports it.  While the largest
+    and smallest bin sums differ by more than the value spread
+    d = y_max - y_min, the largest value of the heaviest bin trades places
+    with the smallest value of the lightest bin.  Each such swap strictly
+    lowers the sum of squared bin sums: writing a, b for the swapped values
+    and S_i, S_j for the bin sums, the change is -2(a-b)(S_i - S_j - (a-b)),
+    and with equal bin sizes a - b is positive yet at most d < S_i - S_j.
+    The state space is finite, so the loop terminates, with every final bin
+    sum inside [mean_sum - d, mean_sum + d].  The bin sums are taken once up
+    front, each swap re-sums only the two bins it touches, and two heaps
+    find the heaviest and lightest bins, ties toward the lower index, in
+    O(log m) per swap.  On floats, where two sums can differ by d in the
+    reals but a hair more after rounding, the loop also stops when a swap
+    would exactly undo the one before it.
 
     Only r = m is supported: equal-size bins are what make the improving
     swap available, and r = m is the shape the completion step and the
@@ -115,7 +209,8 @@ def exchange_binning(
         alphabet: must be uniform.
         k: key bits; each bin receives exactly 2**k copies.
         r: bin count; None means m, anything else is rejected.
-        seed: fixes the initial random partition, and with it the result.
+        seed: a non-negative integer; fixes the initial random partition,
+            and with it the result.
     """
     if k < 0:
         raise ValueError("key bit count must be >= 0")
@@ -131,20 +226,28 @@ def exchange_binning(
     if r != m:
         raise ValueError(f"r={r} unsupported: only r = m bins")
 
-    copies = 2**k
-    import numpy as np  # on use: it is most of the package's import time
+    from heapq import heapify, heappop, heappush  # on use: only exchange needs it
 
-    rng = np.random.default_rng(seed)
-    shuffled = rng.permutation(np.repeat(np.arange(m), copies))
-    bins = [sorted(int(v) for v in shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
+    copies = 2**k
+    shuffled = _seeded_permutation(m, copies, seed)
+    bins = [sorted(shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
 
     values = alphabet.values
     d = alphabet.spread
     sums = [sum(values[v] for v in content) for content in bins]
+    # Entries go stale when their bin's sum changes and are dropped when
+    # they surface; an entry that still holds its bin's sum is current.
+    heavy = [(-s, j) for j, s in enumerate(sums)]
+    light = [(s, j) for j, s in enumerate(sums)]
+    heapify(heavy)
+    heapify(light)
     last = None
     for _ in range(_SWAP_LIMIT):
-        hi = max(range(m), key=lambda j: (sums[j], -j))
-        lo = min(range(m), key=lambda j: (sums[j], j))
+        while -heavy[0][0] != sums[heavy[0][1]]:
+            heappop(heavy)
+        while light[0][0] != sums[light[0][1]]:
+            heappop(light)
+        hi, lo = heavy[0][1], light[0][1]
         if sums[hi] - sums[lo] <= d:
             break
         a = bins[hi][0]  # smallest index = largest value
@@ -162,6 +265,8 @@ def exchange_binning(
         # is bit-identical to a fresh one and no swap decision drifts.
         for j in (hi, lo):
             sums[j] = sum(values[v] for v in bins[j])
+            heappush(heavy, (-sums[j], j))
+            heappush(light, (sums[j], j))
     else:
         raise RuntimeError("swap loop failed to settle within the iteration guard")
     return Binning(m=m, bins=tuple(tuple(content) for content in bins))

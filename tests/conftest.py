@@ -60,8 +60,10 @@ def binning_of(code: KeyedCode, alphabet: SourceAlphabet | None = None) -> Binni
 
 
 def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
-    """The exchange repair loop with every bin sum recomputed after every
-    swap: the reference the library's loop must match swap for swap.
+    """The exchange repair loop as plain scans: numpy's seeded permutation
+    for the start, every bin sum recomputed after every swap, and the
+    heaviest and lightest bins found by ``max``/``min`` over all m bins.
+    The library's loop must match it swap for swap.
 
     Returns the binning and the sum of squared bin sums before the first
     swap and after each one.
@@ -72,14 +74,16 @@ def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
     bins = [sorted(int(v) for v in shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
     values, d = alphabet.values, alphabet.spread
     trace = []
+    last = None
     for _ in range(1_000_000):
         sums = [sum(values[v] for v in content) for content in bins]
         trace.append(sum(s * s for s in sums))
         hi = max(range(m), key=lambda j: (sums[j], -j))
         lo = min(range(m), key=lambda j: (sums[j], j))
         a, b = bins[hi][0], bins[lo][-1]
-        if sums[hi] - sums[lo] <= d or not values[a] > values[b]:
+        if sums[hi] - sums[lo] <= d or not values[a] > values[b] or (lo, hi, a, b) == last:
             break
+        last = (hi, lo, a, b)
         bins[hi].pop(0)
         bins[lo].pop()
         insort(bins[hi], b)

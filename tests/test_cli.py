@@ -338,8 +338,8 @@ def run_fresh(*argv):
 
 
 def test_start_up_loads_only_what_the_subcommand_runs(tmp_path):
-    # numpy is most of the package's import time and only exchange's seeded
-    # shuffle and the sampler use it; the pool is only for sweep --jobs.
+    # numpy is most of the package's import time and only the sampler uses
+    # it; the pool is only for sweep --jobs.
     # pytest has already imported both, so only a fresh interpreter shows this.
     done = subprocess.run(
         [sys.executable, "-c", "import sys, distsec; "
@@ -356,35 +356,32 @@ def test_start_up_loads_only_what_the_subcommand_runs(tmp_path):
         ("analyze", "--code", str(code), "--values", "1..4"),
         ("compose", "--config", str(system)),
         ("encode", "--alg", "greedy", "--values", "1..4", "--k", "1"),
+        ("encode", "--alg", "exchange", "--values", "1..4", "--k", "1"),
     ]
     for argv in light:
         rc, out, heavy = run_fresh(*argv)
         assert (rc, heavy) == (0, set()), argv
         assert out
-    # Malformed input exits before the import.
+    # Malformed input exits before any construction.
     rc, out, heavy = run_fresh("encode", "--alg", "exchange", "--values", "1,2,3",
                                "--pmf", "0.5,0.25,0.25", "--k", "1")
     assert (rc, out, heavy) == (3, b"", set())
-    for argv in [
-        ("encode", "--alg", "exchange", "--values", "1..4", "--k", "1"),
-        ("simulate", "--code", str(code), "--values", "1..4", "--trials", "100"),
-    ]:
-        rc, _, heavy = run_fresh(*argv)
-        assert (rc, heavy) == (0, {"numpy"}), argv
+    rc, _, heavy = run_fresh("simulate", "--code", str(code), "--values", "1..4",
+                             "--trials", "100")
+    assert (rc, heavy) == (0, {"numpy"})
 
 
 def test_fresh_sweep_bytes_do_not_depend_on_jobs():
-    # A pooled sweep with exchange rows imports numpy before the workers
-    # fork; in process numpy is already loaded, so only a fresh run shows
-    # that the bytes do not depend on it.
+    # Exchange rows load neither numpy nor the pool; in process pytest has
+    # both loaded already, so only a fresh run shows what a sweep loads.
     base = ("sweep", "--values", "1..6", "--alg", "greedy,exchange", "--k", "0..2")
     rc, serial, heavy = run_fresh(*base, "--jobs", "1")
-    assert (rc, heavy) == (0, {"numpy"})
+    assert (rc, heavy) == (0, set())
     assert len(csv_rows(serial.decode())) == 7
     rc, pooled, heavy = run_fresh(*base, "--jobs", "2")
     assert (rc, pooled) == (0, serial)
     if (os.cpu_count() or 1) > 1:
-        assert heavy == {"numpy", "concurrent.futures"}
+        assert heavy == {"concurrent.futures"}
 
 
 def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_path):

@@ -1,12 +1,18 @@
 """Greedy and exchange constructions, plus binning completion."""
 
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distsec
 from conftest import binning_of, exchange_reference
 from distsec import (
     Binning,
@@ -18,6 +24,7 @@ from distsec import (
     make_alphabet,
     max_distortion,
 )
+from distsec.encoders import _seeded_permutation
 
 
 def sums_of(code, alphabet):
@@ -173,6 +180,91 @@ def test_exchange_stops_before_undoing_a_swap_on_a_float_near_tie():
     sums = [sum(a.values[v] for v in content) for content in binning.bins]
     mean_sum = sum(a.values) / a.m * 8
     assert all(abs(s - mean_sum) <= a.spread + 1e-12 for s in sums)
+
+
+_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(m=st.integers(1, 60), k=st.integers(0, 6), seed=_SEEDS)
+def test_the_seeded_shuffle_is_numpys_permutation(m, k, seed):
+    # Should a numpy release change this stream (NEP 19 allows it), the
+    # golden test below still pins the package's own.
+    shuffled = np.random.default_rng(seed).permutation(np.repeat(np.arange(m), 2**k))
+    assert _seeded_permutation(m, 2**k, seed) == shuffled.tolist()
+
+
+@pytest.mark.parametrize("m, k, seed", [(3, 0, 7), (5, 1, 2**32), (60, 6, 2**64 - 1)])
+def test_the_seeded_shuffle_matches_numpy_through_rejected_draws(m, k, seed):
+    # A draw masked to cover i is rejected when it lands above i.  Had
+    # numpy's shuffle drawn exactly once per slot, n - 1 draws from n // 2
+    # outputs, its generator would sit where a fresh one does after n // 2
+    # steps; it does not, so these cases run the rejection loop.
+    n, copies = m * 2**k, 2**k
+    rng = np.random.default_rng(seed)
+    shuffled = rng.permutation(np.repeat(np.arange(m), copies)).tolist()
+    assert _seeded_permutation(m, copies, seed) == shuffled
+    unrejected = np.random.PCG64(seed).advance(n // 2)
+    assert rng.bit_generator.state["state"] != unrejected.state["state"]
+
+
+def test_the_seeded_shuffle_refuses_inputs_outside_numpys_32_bit_draws():
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        _seeded_permutation(1, 2**32 + 1, 0)
+    with pytest.raises(ValueError, match="2\\*\\*32"):
+        exchange_binning(make_alphabet([1, 2]), 32)  # refused before any copy is built
+    with pytest.raises(ValueError, match="seed"):
+        _seeded_permutation(2, 2, -1)
+
+
+def _alphabets():
+    """Integers, Fractions, floats, 1e8-offset floats and one-decimal floats
+    with duplicates: every arithmetic the exchange loop compares sums in."""
+    ints = st.integers(-100, 100)
+    return st.one_of(
+        st.lists(ints, min_size=1, max_size=40),
+        st.lists(st.fractions(-50, 50, max_denominator=12), min_size=1, max_size=40),
+        st.lists(st.floats(-100, 100), min_size=1, max_size=40),
+        st.lists(ints.map(lambda v: 1e8 + v / 3), min_size=1, max_size=40),
+        st.lists(st.integers(-9, 9).map(lambda v: v / 10), min_size=1, max_size=40),
+    ).map(make_alphabet)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(alphabet=_alphabets(), k=st.integers(0, 5), seed=st.integers(0, 2**64 - 1))
+def test_exchange_heaps_pick_the_bins_the_scans_pick(alphabet, k, seed):
+    assert exchange_binning(alphabet, k, seed=seed) == exchange_reference(alphabet, k, seed)[0]
+
+
+_WITHOUT_NUMPY = """
+import json, sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from distsec import exchange_binning, make_alphabet
+from distsec.cli import main
+print(json.dumps(exchange_binning(make_alphabet(list(range(1, 9))), 2, seed=5).bins))
+sys.exit(main(["encode", "--alg", "exchange", "--values", "1..8", "--k", "2", "--seed", "5"]))
+"""
+
+
+def test_exchange_gives_the_numpy_era_codes_without_numpy():
+    # The tables were written by the numpy-backed construction.
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(distsec.__file__).resolve().parents[1])),
+    )
+    assert done.returncode == 0, done.stderr
+    bins, _, encoded = done.stdout.decode().partition("\n")
+    assert json.loads(bins) == [
+        [1, 2, 7, 7], [1, 2, 5, 6], [0, 3, 4, 6], [0, 4, 5, 6],
+        [0, 4, 6, 7], [1, 3, 4, 7], [0, 2, 3, 5], [1, 2, 3, 5],
+    ]
+    code = {"m": 8, "k": 2, "r": 8, "assignment": [
+        [3, 7, 1, 2, 5, 6, 4, 0],
+        [6, 1, 0, 5, 3, 7, 2, 4],
+        [4, 5, 7, 6, 2, 1, 3, 0],
+        [2, 0, 6, 7, 4, 3, 1, 5],
+    ]}
+    assert encoded == json.dumps(code, indent=2) + "\n"
 
 
 def test_binning_validation():
