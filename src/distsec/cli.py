@@ -35,8 +35,8 @@ from .multisource import JointSystem, SeparableFunction, joint_distortion
 from .search import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, brute_force_optimal
 from .simulation import SimConfig, simulate
 
-# Largest m * 2**k (value, key) table a construction may build.  Exchange
-# plus completion takes tens of seconds at a quarter of it.
+# Largest m * 2**k (value, key) table a construction may build.  At the cap,
+# exchange plus completion takes under 20 s.
 CONSTRUCTION_CAP = 1_000_000
 REPORT_COLUMNS = [
     "alphabet_id",
@@ -513,6 +513,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise CliError(f"argument --jobs: must be a positive integer, got {args.jobs}")
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

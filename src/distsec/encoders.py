@@ -275,13 +275,26 @@ def exchange_binning(
 def complete_key_assignment(binning: Binning, k: int) -> KeyedCode:
     """Assign keys to a binning so the receiver can decode.
 
-    Treats values and bins as the two sides of a multigraph whose edges are
-    the value copies, and properly edge-colors it with 2**k colors: color c
-    at value v tells key c to send v to the bin at the far end.  A proper
-    coloring is exactly per-key injectivity.  One always exists here because
-    every value has degree 2**k and no bin exceeds 2**k; the standard
-    alternating-chain argument (swap two colors along a chain, which cannot
-    reach the edge's own endpoints) places each edge in turn.
+    Values and bins are the two sides of a multigraph whose edges are the
+    value copies.  Key c is a perfect matching of it: it sends v to the bin
+    at the far end of v's key-c edge, so each key is injective.  The 2**k
+    matchings come from k rounds of Euler splits (Gabow 1976), one key bit
+    per round.
+
+    The graph is first made 2**k-regular: r - m dummy values take up each
+    bin's spare capacity, 2**k - |bin|, which totals exactly (r - m) * 2**k.
+    Padding is safe because dropping the dummies at the end only removes
+    edges: every key stays injective and every bin keeps its contents.
+    Exchange binnings have r = m and full bins, so they get no dummies.
+
+    Each vertex owns 2**k slots.  Before round t, the low t bits of an
+    edge's slot, at either end, are the key bits it has so far.  Round t
+    pairs slot s with slot s ^ 2**t at every vertex: two edges with the same
+    bits.  Following the pairs alternately at the bin end and the value end
+    walks closed trails, of even length since the graph is bipartite, and
+    alternate edges of a trail get bit t = 0 and 1.  So every pair splits,
+    and each half is regular at half the degree.  After k rounds slot c of
+    a value holds its key-c edge.
 
     The resulting code induces exactly the input binning.  Raises ValueError
     when the binning is malformed for k: a value with a copy count other
@@ -303,62 +316,39 @@ def complete_key_assignment(binning: Binning, k: int) -> KeyedCode:
             f"value indices {bad} do not appear exactly {colors} times in the binning"
         )
 
-    edges = [
-        (v, j) for j, content in enumerate(binning.bins) for v in content
-    ]
-    vmap = [[None] * colors for _ in range(m)]  # value vertex -> color -> edge id
-    bmap = [[None] * colors for _ in range(binning.r)]
-    color_of = [None] * len(edges)
-
-    for eid, (v, b) in enumerate(edges):
-        free_v = next(c for c in range(colors) if vmap[v][c] is None)
-        free_b = next(c for c in range(colors) if bmap[b][c] is None)
-        both = next(
-            (c for c in range(colors) if vmap[v][c] is None and bmap[b][c] is None),
-            None,
-        )
-        if both is not None:
-            use = both
-        else:
-            alpha, beta = free_v, free_b
-            # Swap alpha and beta along the chain leaving b.  Walking from b,
-            # value-side vertices are entered through alpha edges and bin-side
-            # vertices through beta edges, so the chain can reach neither v
-            # (alpha is free there) nor b again (beta is free there).
-            chain = []
-            vertex, on_value_side, want = b, False, alpha
+    # vb[p] is the bin-side slot of the edge in value-side slot p, and bv
+    # the inverse.  Value v owns slots v*2**k onward; fill[m] hands the
+    # dummies' slots, m*2**k onward, to the spare bin slots in turn.
+    fill = list(range(0, (m + 1) * colors, colors))
+    vb, bv = [0] * (binning.r * colors), [0] * (binning.r * colors)
+    padded = (v for content in binning.bins for v in [*content] + [m] * (colors - len(content)))
+    for q, v in enumerate(padded):
+        p = fill[v]
+        fill[v] += 1
+        vb[p], bv[q] = q, p
+    for t in range(k):
+        bit, low = 1 << t, ~(1 << t)
+        nvb, nbv = [-1] * len(vb), [0] * len(vb)
+        for start in range(len(vb)):
+            if nvb[start] >= 0:
+                continue  # on a trail already
+            p = start
             while True:
-                lookup = vmap[vertex] if on_value_side else bmap[vertex]
-                nxt = lookup[want]
-                if nxt is None:
+                # Edge (p, q) takes bit 0, its partner at the bin end bit 1,
+                # and that edge's partner at the value end is next.
+                q = vb[p]
+                p1 = bv[q ^ bit]
+                nvb[p & low], nbv[q & low] = q & low, p & low
+                nvb[p1 | bit], nbv[q | bit] = q | bit, p1 | bit
+                p = p1 ^ bit
+                if p == start:
                     break
-                chain.append(nxt)
-                ev, eb = edges[nxt]
-                vertex = eb if on_value_side else ev
-                on_value_side = not on_value_side
-                want = beta if want == alpha else alpha
-            for ce in chain:
-                cv, cb = edges[ce]
-                old = color_of[ce]
-                new = beta if old == alpha else alpha
-                vmap[cv][old] = None
-                bmap[cb][old] = None
-                color_of[ce] = new
-            for ce in chain:
-                cv, cb = edges[ce]
-                vmap[cv][color_of[ce]] = ce
-                bmap[cb][color_of[ce]] = ce
-            use = alpha
-        color_of[eid] = use
-        vmap[v][use] = eid
-        bmap[b][use] = eid
-
-    rows = []
-    for c in range(colors):
-        row = []
-        for v in range(m):
-            eid = vmap[v][c]
-            assert eid is not None  # degree == colors guarantees every color lands
-            row.append(edges[eid][1])
-        rows.append(tuple(row))
-    return KeyedCode(m=m, k=k, r=binning.r, assignment=tuple(rows))
+        vb, bv = nvb, nbv
+    return KeyedCode(
+        m=m,
+        k=k,
+        r=binning.r,
+        assignment=tuple(
+            tuple(q // colors for q in vb[c : m * colors : colors]) for c in range(colors)
+        ),
+    )

@@ -827,6 +827,10 @@ MALFORMED = [
     ("sweep --values 1..4 --k 1 --alg exchange --pmf 0.4,0.2,0.2,0.2", 3,
      "exchange binning requires a uniform alphabet"),
     (f"sweep --values {_TOO_BIG} --k 1 --alg greedy", 3, "a result does not fit a finite float"),
+    ("sweep --values 1..4 --k 1 --alg greedy --jobs 0", 2,
+     "argument --jobs: must be a positive integer, got 0"),
+    ("encode --alg greedy --values 1..4 --k 1 --jobs -3", 2,
+     "argument --jobs: must be a positive integer, got -3"),
 ]
 
 

@@ -247,7 +247,8 @@ sys.exit(main(["encode", "--alg", "exchange", "--values", "1..8", "--k", "2", "-
 
 
 def test_exchange_gives_the_numpy_era_codes_without_numpy():
-    # The tables were written by the numpy-backed construction.
+    # The bins were written by the numpy-backed construction, the code by
+    # their completion.
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(distsec.__file__).resolve().parents[1])),
@@ -259,10 +260,10 @@ def test_exchange_gives_the_numpy_era_codes_without_numpy():
         [0, 4, 6, 7], [1, 3, 4, 7], [0, 2, 3, 5], [1, 2, 3, 5],
     ]
     code = {"m": 8, "k": 2, "r": 8, "assignment": [
-        [3, 7, 1, 2, 5, 6, 4, 0],
-        [6, 1, 0, 5, 3, 7, 2, 4],
-        [4, 5, 7, 6, 2, 1, 3, 0],
-        [2, 0, 6, 7, 4, 3, 1, 5],
+        [2, 0, 1, 6, 5, 7, 3, 4],
+        [3, 1, 0, 7, 2, 6, 4, 5],
+        [4, 7, 6, 5, 3, 1, 2, 0],
+        [6, 5, 7, 2, 4, 3, 1, 0],
     ]}
     assert encoded == json.dumps(code, indent=2) + "\n"
 
@@ -296,7 +297,6 @@ def test_completion_with_more_bins_than_values():
     binning = Binning(m=2, bins=((0,), (0,), (1, 1)))
     code = complete_key_assignment(binning, 1)
     assert code.r == 3
-    a = make_alphabet([2, 1])
     assert binning_of(code) == binning
 
 
@@ -304,9 +304,10 @@ def test_completion_with_more_bins_than_values():
 @settings(max_examples=50, deadline=None)
 def test_completion_induces_exactly_the_input_binning(data):
     # random legal binning: shuffle the copies, cut into chunks of random
-    # sizes <= 2**k
-    m = data.draw(st.integers(1, 7))
-    k = data.draw(st.integers(0, 3))
+    # sizes <= 2**k.  Several split rounds, and search-shaped binnings with
+    # r > m whose light bins need padding.
+    m = data.draw(st.integers(1, 12))
+    k = data.draw(st.integers(0, 5))
     seed = data.draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     copies = list(rng.permutation(np.repeat(np.arange(m), 2**k)))
@@ -318,8 +319,13 @@ def test_completion_induces_exactly_the_input_binning(data):
     binning = Binning(m=m, bins=tuple(bins))
 
     code = complete_key_assignment(binning, k)  # KeyedCode validates injectivity
-    a = make_alphabet(list(range(m, 0, -1)))
     assert binning_of(code) == binning
+
+
+def test_completion_induces_a_large_exchange_binning():
+    # 128 * 2**5 = 4096 copies over five split rounds, no padding.
+    binning = exchange_binning(make_alphabet(list(range(1, 129))), 5, seed=11)
+    assert binning_of(complete_key_assignment(binning, 5)) == binning
 
 
 def test_completion_of_exchange_preserves_sums():

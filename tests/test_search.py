@@ -89,7 +89,7 @@ def test_float_search_agrees_with_exact_on_large_offsets(values, k):
     ([0.04, 0.03, 0.04, 0.01, 0.0], 1, {}, 1.3999999999999993e-05, (3, 3, 13),
      ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
     ([2, 1, 1], 2, {}, Fraction(0), (2, 5, 39),
-     ((3, 1, 2), (1, 0, 2), (2, 0, 3), (0, 1, 3))),
+     ((0, 1, 2), (1, 0, 3), (2, 0, 3), (3, 1, 2))),
     # The other corner of the default caps: 101 s while every tying leaf
     # was completed for a table tie-break.
     (list(range(1, 9)), 2, {}, Fraction(0), (0, 0, 165),
