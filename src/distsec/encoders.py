@@ -11,97 +11,30 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from random import Random
 
 from .model import KeyedCode, SourceAlphabet
 
 _SWAP_LIMIT = 1_000_000
 
-_M32 = (1 << 32) - 1
-_M64 = (1 << 64) - 1
-_M128 = (1 << 128) - 1
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
-
-def _hashmix(const: int, mult: int):
-    """SeedSequence's 32-bit hash, whose constant is multiplied by ``mult``
-    on every call."""
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * mult & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
-
-    return hashmix
-
-
-def _pcg64_draws(seed: int):
-    """The 32-bit draws of numpy's ``default_rng(seed)``, as an endless iterator.
-
-    numpy's SeedSequence hashes the seed's 32-bit words (least significant
-    first) into a pool of four words and expands the pool into the 256 bits
-    that seed PCG64 (O'Neill 2014): a 128-bit LCG state and odd increment,
-    read through the XSL-RR output function.  A 32-bit draw is the low half
-    of one 64-bit output and the next draw its buffered high half.
+def _seeded_permutation(m: int, copies: int, seed: int) -> list[int]:
+    """``copies`` copies of each of 0..m-1 in a Fisher-Yates order: for
+    i = n-1 down to 1, slot i swaps with slot int(u * (i + 1)), u the next
+    ``random.Random(seed).random()``.  Python keeps that stream fixed for a
+    given seed across releases, which it does not promise for ``shuffle`` or
+    ``getrandbits``.  u is a multiple of 2**-53, so for n <= 2**32 every slot
+    is drawn with probability within a factor 1 ± 2**-21 of 1 / (i + 1).
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
-
-    def mix(x: int, y: int) -> int:
-        x = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
-        return x ^ x >> 16
-
-    # Hash the first four words (zero-padded) into the pool, mix every pool
-    # word into every other, then mix any further word into each.
-    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
-    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight hashed 32-bit words, paired low word
-    # first into four 64-bit words, which give initstate (high 64 bits
-    # first) and then initseq.
-    expand = _hashmix(0x8B51F9DD, 0x58F38DED)
-    h = [expand(pool[i % 4]) for i in range(8)]
-    initstate = h[1] << 96 | h[0] << 64 | h[3] << 32 | h[2]
-    inc = (h[5] << 96 | h[4] << 64 | h[7] << 32 | h[6]) << 1 & _M128 | 1
-    # From state 0: one step (state = inc), add initstate, one more step.
-    state = (inc + initstate) * _PCG64_MULT + inc & _M128
-    while True:
-        state = state * _PCG64_MULT + inc & _M128
-        rot = state >> 122
-        x = (state >> 64 ^ state) & _M64
-        word = (x >> rot | x << (64 - rot)) & _M64
-        yield word & _M32
-        yield word >> 32
-
-
-def _seeded_permutation(m: int, copies: int, seed: int) -> list[int]:
-    """``copies`` copies of each of 0..m-1, shuffled exactly as numpy's
-    ``default_rng(seed).permutation(np.repeat(np.arange(m), copies))``.
-
-    That is Generator.shuffle's Fisher-Yates: for i = n-1 down to 1, swap
-    slot i with slot j, j drawn uniformly from [0, i] by masking a draw to
-    the smallest all-ones mask covering i and rejecting values above i.
-    """
     n = m * copies
-    # numpy draws 32 bits while i <= 2**32 - 1 and 64 bits beyond; only the
-    # 32-bit branch is written out here.
     if n > 1 << 32:
         raise ValueError(f"{n} copies exceed the 2**32 the seeded shuffle supports")
     items = [v for v in range(m) for _ in range(copies)]
-    draw = _pcg64_draws(seed).__next__
+    draw = Random(seed).random
     for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        j = draw() & mask
-        while j > i:
-            j = draw() & mask
+        j = int(draw() * (i + 1))
         items[i], items[j] = items[j], items[i]
     return items
 
@@ -183,11 +116,11 @@ def exchange_binning(
     """Randomly partition 2**k copies of the alphabet, then repair by swaps.
 
     Starts from a uniform random permutation of the m * 2**k value copies,
-    chunked into m bins of 2**k.  The permutation is numpy's PCG64 stream,
-    ``default_rng(seed).permutation``, reproduced bit for bit in the
-    package: the result does not depend on whether or which numpy is
-    installed, and the construction never imports it.  While the largest
-    and smallest bin sums differ by more than the value spread
+    chunked into m bins of 2**k.  The permutation is a Fisher-Yates shuffle
+    drawn from ``random.Random(seed).random()``, a stream Python keeps fixed
+    for a given seed, so a seed gives the same binning on every Python
+    release.  The guarantee below holds whatever the start.  While the
+    largest and smallest bin sums differ by more than the value spread
     d = y_max - y_min, the largest value of the heaviest bin trades places
     with the smallest value of the lightest bin.  Each such swap strictly
     lowers the sum of squared bin sums: writing a, b for the swapped values

@@ -16,6 +16,7 @@ from math import prod
 import numpy as np
 
 from distsec import Binning, KeyedCode, SourceAlphabet, greedy_code, make_alphabet
+from distsec.encoders import _seeded_permutation
 
 
 def random_code(rng: np.random.Generator, m: int, k: int, r: int) -> KeyedCode:
@@ -60,18 +61,17 @@ def binning_of(code: KeyedCode, alphabet: SourceAlphabet | None = None) -> Binni
 
 
 def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
-    """The exchange repair loop as plain scans: numpy's seeded permutation
-    for the start, every bin sum recomputed after every swap, and the
-    heaviest and lightest bins found by ``max``/``min`` over all m bins.
-    The library's loop must match it swap for swap.
+    """The exchange repair loop as plain scans: the library's seeded
+    permutation for the start, every bin sum recomputed after every swap,
+    and the heaviest and lightest bins found by ``max``/``min`` over all m
+    bins.  The library's loop must match it swap for swap.
 
     Returns the binning and the sum of squared bin sums before the first
     swap and after each one.
     """
     m, copies = alphabet.m, 2**k
-    rng = np.random.default_rng(seed)
-    shuffled = rng.permutation(np.repeat(np.arange(m), copies))
-    bins = [sorted(int(v) for v in shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
+    shuffled = _seeded_permutation(m, copies, seed)
+    bins = [sorted(shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
     values, d = alphabet.values, alphabet.spread
     trace = []
     last = None

@@ -148,10 +148,10 @@ def test_exchange_lands_every_bin_sum_near_the_mean(seed, k):
 
 
 @pytest.mark.parametrize("values, k, seed", [
-    ([0.1 * v for v in (-17, -26, 20, 16, 7, -7)], 3, 1698),
+    ([0.1 * v for v in (-17, -26, 20, 16, 7, -7)], 3, 10),
     ([0.1 * v for v in (13, -20, -11)], 4, 2130),
-    ([1e8 + v / 3 for v in (-16, -18, 28, 82)], 3, 2345),
-    ([v / 3 for v in (-257, -240, 296, 23, -11, -40, 177, 198, 287, -20)], 4, 1484),
+    ([1e8 + v / 3 for v in (-16, -18, 28, 82)], 3, 18),
+    ([v / 3 for v in (-257, -240, 296, 23, -11, -40, 177, 198, 287, -20)], 4, 221),
 ])
 def test_exchange_matches_the_reference_on_non_dyadic_floats(values, k, seed):
     # These sums round differently in every order: a loop that adjusted its
@@ -182,39 +182,15 @@ def test_exchange_stops_before_undoing_a_swap_on_a_float_near_tie():
     assert all(abs(s - mean_sum) <= a.spread + 1e-12 for s in sums)
 
 
-_SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**64 - 1)
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(m=st.integers(1, 60), k=st.integers(0, 6), seed=_SEEDS)
-def test_the_seeded_shuffle_is_numpys_permutation(m, k, seed):
-    # Should a numpy release change this stream (NEP 19 allows it), the
-    # golden test below still pins the package's own.
-    shuffled = np.random.default_rng(seed).permutation(np.repeat(np.arange(m), 2**k))
-    assert _seeded_permutation(m, 2**k, seed) == shuffled.tolist()
-
-
-@pytest.mark.parametrize("m, k, seed", [(3, 0, 7), (5, 1, 2**32), (60, 6, 2**64 - 1)])
-def test_the_seeded_shuffle_matches_numpy_through_rejected_draws(m, k, seed):
-    # A draw masked to cover i is rejected when it lands above i.  Had
-    # numpy's shuffle drawn exactly once per slot, n - 1 draws from n // 2
-    # outputs, its generator would sit where a fresh one does after n // 2
-    # steps; it does not, so these cases run the rejection loop.
-    n, copies = m * 2**k, 2**k
-    rng = np.random.default_rng(seed)
-    shuffled = rng.permutation(np.repeat(np.arange(m), copies)).tolist()
-    assert _seeded_permutation(m, copies, seed) == shuffled
-    unrejected = np.random.PCG64(seed).advance(n // 2)
-    assert rng.bit_generator.state["state"] != unrejected.state["state"]
-
-
-def test_the_seeded_shuffle_refuses_inputs_outside_numpys_32_bit_draws():
+def test_the_seeded_shuffle_refuses_negative_seeds_and_over_2_32_copies():
     with pytest.raises(ValueError, match="2\\*\\*32"):
         _seeded_permutation(1, 2**32 + 1, 0)
     with pytest.raises(ValueError, match="2\\*\\*32"):
         exchange_binning(make_alphabet([1, 2]), 32)  # refused before any copy is built
     with pytest.raises(ValueError, match="seed"):
         _seeded_permutation(2, 2, -1)
+    with pytest.raises(ValueError, match="seed"):
+        exchange_binning(make_alphabet([1, 2]), 1, seed=-1)
 
 
 def _alphabets():
@@ -246,9 +222,9 @@ sys.exit(main(["encode", "--alg", "exchange", "--values", "1..8", "--k", "2", "-
 """
 
 
-def test_exchange_gives_the_numpy_era_codes_without_numpy():
-    # The bins were written by the numpy-backed construction, the code by
-    # their completion.
+def test_exchange_gives_the_pinned_code_without_numpy():
+    # The bins pin the seeded start and the swap loop, the code their
+    # completion; the child interpreter cannot import numpy at all.
     done = subprocess.run(
         [sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(distsec.__file__).resolve().parents[1])),
@@ -256,14 +232,14 @@ def test_exchange_gives_the_numpy_era_codes_without_numpy():
     assert done.returncode == 0, done.stderr
     bins, _, encoded = done.stdout.decode().partition("\n")
     assert json.loads(bins) == [
-        [1, 2, 7, 7], [1, 2, 5, 6], [0, 3, 4, 6], [0, 4, 5, 6],
-        [0, 4, 6, 7], [1, 3, 4, 7], [0, 2, 3, 5], [1, 2, 3, 5],
+        [1, 2, 3, 7], [3, 3, 4, 7], [1, 2, 4, 6], [0, 1, 6, 6],
+        [1, 2, 4, 5], [0, 3, 7, 7], [0, 2, 5, 6], [0, 4, 5, 5],
     ]
     code = {"m": 8, "k": 2, "r": 8, "assignment": [
-        [2, 0, 1, 6, 5, 7, 3, 4],
-        [3, 1, 0, 7, 2, 6, 4, 5],
-        [4, 7, 6, 5, 3, 1, 2, 0],
-        [6, 5, 7, 2, 4, 3, 1, 0],
+        [3, 0, 6, 1, 4, 7, 2, 5],
+        [5, 3, 4, 0, 2, 7, 6, 1],
+        [7, 4, 2, 5, 1, 6, 3, 0],
+        [6, 2, 0, 1, 7, 4, 3, 5],
     ]}
     assert encoded == json.dumps(code, indent=2) + "\n"
 
