@@ -113,11 +113,14 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     (a0, d0), (a1, d1), (a2, d2) = scaled
     r = code.r
     m0, s1, s2 = [0] * r, [0] * r, [0] * r
-    for row in code.assignment:
-        for v, b in enumerate(row):
-            m0[b] += a0[v]
-            s1[b] += a1[v]
-            s2[b] += a2[v]
+    # Value by value, not key by key: a bin then adds its pairs in the same
+    # order whatever the key order, so a float report reads the binning alone.
+    for v, column in enumerate(zip(*code.assignment)):
+        w0, w1, w2 = a0[v], a1[v], a2[v]
+        for b in column:
+            m0[b] += w0
+            s1[b] += w1
+            s2[b] += w2
     if exact:
         m0 = [Fraction(x, d0) for x in m0]
         s1 = [Fraction(x, d1) for x in s1]

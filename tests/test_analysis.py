@@ -226,6 +226,23 @@ def test_float_report_never_contradicts_itself(data):
     _assert_report_contract(joint_distortion(two))
 
 
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_float_reports_do_not_depend_on_the_key_order(data):
+    # Reordering the keys keeps the binning, so every float digit of the
+    # single-source and the composed report must stay as it was.
+    a = data.draw(_float_alphabets())
+    code = greedy_code(a, data.draw(st.integers(1, 3)))
+    order = data.draw(st.permutations(range(code.key_count)))
+    rows = tuple(code.assignment[key] for key in order)
+    reordered = KeyedCode(m=code.m, k=code.k, r=code.r, assignment=rows)
+    assert bound_report(reordered, a) == bound_report(code, a)
+    f = data.draw(st.sampled_from([sum_function, product_function]))([a.values, a.values])
+    assert joint_distortion(JointSystem((a, a), (reordered, code), f)) == joint_distortion(
+        JointSystem((a, a), (code, code), f)
+    )
+
+
 def test_float_achievable_distortion_is_the_reports_d_ach():
     # The identity code reveals everything, so d_ach is 0; summing the
     # within-bin spread on its own returned -8.9e-16 here.
