@@ -59,6 +59,14 @@ class CliError(Exception):
     """A usage error: missing or clashing arguments (exit 2)."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are CliErrors, so they print one
+    ``error:`` line and exit 2 like every other usage error."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def _fmt(x) -> str:
     try:
         f = float(x)
@@ -75,10 +83,24 @@ def _fmt_flag(b) -> str:
     return "true" if b else "false"
 
 
+def _parse_int(text) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _parse_seed(text) -> int:
-    value = int(text)
+    value = _parse_int(text)
     if not 0 <= value < 2**64:
         raise argparse.ArgumentTypeError("seed must fit in 64 bits")
+    return value
+
+
+def _parse_jobs(text) -> int:
+    value = _parse_int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
     return value
 
 
@@ -441,7 +463,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=_parse_seed, default=0, metavar="U64",
                         help="RNG seed (default 0)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
+    common.add_argument("--jobs", type=_parse_jobs, default=1, metavar="N",
                         help="worker bound for parallelizable steps (default 1)")
     common.add_argument("--exact", action="store_true",
                         help="parse decimal literals as exact rationals")
@@ -452,7 +474,7 @@ def _common_flags() -> argparse.ArgumentParser:
 
 def build_parser() -> argparse.ArgumentParser:
     common = _common_flags()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="distsec",
         description="Keyed block-length-one codes that maximize an eavesdropper's "
         "mean-squared estimation error.",
@@ -510,11 +532,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
-            raise CliError(f"argument --jobs: must be a positive integer, got {args.jobs}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

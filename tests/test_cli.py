@@ -1,8 +1,8 @@
 """End-to-end checks of the ``distsec`` command line.
 
-Everything runs in-process through ``main(argv)``.  argparse-level usage
-errors surface as SystemExit(2); errors the tool raises itself come back as
-return codes.
+Everything runs in-process through ``main(argv)``.  Every error, argparse's
+own included, comes back as a return code with one ``error:`` line on
+stderr; only ``--help`` exits through SystemExit(0).
 """
 
 import argparse
@@ -62,14 +62,10 @@ def run_bounded(*argv, seconds=30):
 
 
 def main_quiet(argv):
-    """``main`` with stdout and stderr captured, for use inside hypothesis;
-    argparse's usage exit comes back as its exit code."""
+    """``main`` with stdout and stderr captured, for use inside hypothesis."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main(argv)
-        except SystemExit as e:
-            rc = e.code
+        rc = main(argv)
     return rc, out.getvalue(), err.getvalue()
 
 
@@ -112,12 +108,14 @@ def test_encode_usage_errors(capsys):
 
 
 def test_argparse_usage_exits_2(capsys):
+    # argparse's own errors print one error: line, with no usage banner.
+    for argv in (["encode", "--alg", "greedy", "--values", "1,2", "--bogus"], ["nope"], []):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
     with pytest.raises(SystemExit) as exc:
-        main(["encode", "--alg", "greedy", "--values", "1,2", "--bogus"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["nope"])
-    assert exc.value.code == 2
+        main(["encode", "--help"])
+    assert exc.value.code == 0
 
 
 def test_analyze_row_matches_library(capsys, tmp_path):
@@ -318,7 +316,7 @@ import json, sys
 from distsec.cli import main
 try:
     rc = main(sys.argv[1:])
-except SystemExit as e:
+except SystemExit as e:  # --help
     rc = e.code
 sys.stdout.flush()
 heavy = [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
@@ -831,6 +829,12 @@ MALFORMED = [
      "argument --jobs: must be a positive integer, got 0"),
     ("encode --alg greedy --values 1..4 --k 1 --jobs -3", 2,
      "argument --jobs: must be a positive integer, got -3"),
+    ("encode --alg greedy --values 1..4 --k 1 --jobs x", 2, "argument --jobs: invalid int value: 'x'"),
+    ("encode --alg greedy --values 1..4 --k 1 --seed -1", 2,
+     "argument --seed: seed must fit in 64 bits"),
+    ("encode --alg greedy --values 1..4 --k 1 --bogus", 2, "unrecognized arguments: --bogus"),
+    ("nope", 2, "argument command: invalid choice: 'nope' "
+     "(choose from 'encode', 'analyze', 'search', 'compose', 'simulate', 'sweep')"),
 ]
 
 
