@@ -113,8 +113,7 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     (a0, d0), (a1, d1), (a2, d2) = scaled
     r = code.r
     m0, s1, s2 = [0] * r, [0] * r, [0] * r
-    # Value by value, not key by key: a bin then adds its pairs in the same
-    # order whatever the key order, so a float report reads the binning alone.
+    # Value by value, so a bin's float sums do not depend on the key order.
     for v, column in enumerate(zip(*code.assignment)):
         w0, w1, w2 = a0[v], a1[v], a2[v]
         for b in column:

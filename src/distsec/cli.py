@@ -60,8 +60,7 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are CliErrors, so they print one
-    ``error:`` line and exit 2 like every other usage error."""
+    """Reports a usage error as a CliError: one ``error:`` line, exit 2."""
 
     def error(self, message):
         raise CliError(message)
@@ -83,25 +82,24 @@ def _fmt_flag(b) -> str:
     return "true" if b else "false"
 
 
-def _parse_int(text) -> int:
+def _int_in(text, low: int, high: float, message: str) -> int:
+    """``text`` as an int in [low, high), for argparse: a ValueError would
+    name the type function in argparse's message."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if not low <= value < high:
+        raise argparse.ArgumentTypeError(message.format(value))
+    return value
 
 
 def _parse_seed(text) -> int:
-    value = _parse_int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must fit in 64 bits")
-    return value
+    return _int_in(text, 0, 2**64, "seed must fit in 64 bits")
 
 
 def _parse_jobs(text) -> int:
-    value = _parse_int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+    return _int_in(text, 1, math.inf, "must be a positive integer, got {}")
 
 
 def _parse_token(tok: str, exact: bool):

@@ -19,12 +19,14 @@ _SWAP_LIMIT = 1_000_000
 
 
 def _seeded_permutation(m: int, copies: int, seed: int) -> list[int]:
-    """``copies`` copies of each of 0..m-1 in a Fisher-Yates order: for
-    i = n-1 down to 1, slot i swaps with slot int(u * (i + 1)), u the next
-    ``random.Random(seed).random()``.  Python keeps that stream fixed for a
-    given seed across releases, which it does not promise for ``shuffle`` or
-    ``getrandbits``.  u is a multiple of 2**-53, so for n <= 2**32 every slot
-    is drawn with probability within a factor 1 ± 2**-21 of 1 / (i + 1).
+    """``copies`` copies of each of 0..m-1, in a seeded Fisher-Yates order.
+
+    For i = n-1 down to 1, slot i swaps with slot j = int(u * (i + 1)), u
+    the next ``random.Random(seed).random()``.  Python keeps that stream
+    fixed for a given seed across releases; it promises no such thing for
+    ``shuffle`` or ``getrandbits``, so neither is used.  Each u is a multiple
+    of 2**-53, so for n <= 2**32 every j has probability within a factor
+    1 ± 2**-21 of 1 / (i + 1).
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -116,11 +118,11 @@ def exchange_binning(
     """Randomly partition 2**k copies of the alphabet, then repair by swaps.
 
     Starts from a uniform random permutation of the m * 2**k value copies,
-    chunked into m bins of 2**k.  The permutation is a Fisher-Yates shuffle
-    drawn from ``random.Random(seed).random()``, a stream Python keeps fixed
-    for a given seed, so a seed gives the same binning on every Python
-    release.  The guarantee below holds whatever the start.  While the
-    largest and smallest bin sums differ by more than the value spread
+    chunked into m bins of 2**k.  The permutation is drawn from
+    ``random.Random(seed).random()``, a stream Python keeps fixed for a given
+    seed, so a seed gives the same binning on every Python release.  The
+    guarantee below holds whatever the start.  While the largest and
+    smallest bin sums differ by more than the value spread
     d = y_max - y_min, the largest value of the heaviest bin trades places
     with the smallest value of the lightest bin.  Each such swap strictly
     lowers the sum of squared bin sums: writing a, b for the swapped values
