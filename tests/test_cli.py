@@ -108,8 +108,9 @@ def test_encode_usage_errors(capsys):
 
 
 def test_argparse_usage_exits_2(capsys):
-    # argparse's own errors print one error: line, with no usage banner.
-    for argv in (["encode", "--alg", "greedy", "--values", "1,2", "--bogus"], ["nope"], []):
+    # argparse's own errors print one error: line, with no usage banner; an
+    # unknown flag and an unknown subcommand are rows of MALFORMED.
+    for argv in ([], ["encode", "--values", "1,2"], ["encode", "--alg", "sneaky", "--values", "1,2"]):
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1, err
