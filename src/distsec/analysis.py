@@ -8,12 +8,13 @@ the overall mean) and that loss is her advantage:
 
     advantage = var(Y) - E[var(Y | bin)] = var(E[Y | bin]).
 
-Every function here reads one set of per-bin moments, built by a single pass
-over the code's assignment table: the probability mass of each bin and the
-first and second moments of the payoff centred on its overall mean.  Centring
-keeps the float path from cancelling large offsets against each other; on the
-exact path it changes nothing.  The test suite checks the moments against an
-independent enumeration of every (value, key) pair in exact arithmetic.
+Every function here reads one set of moments, built by a single pass over
+the code's assignment table: the payoff's variance, and for each bin its
+probability mass and the first moment of the payoff centred on its overall
+mean.  Centring keeps the float path from cancelling large offsets against
+each other; on the exact path it changes nothing.  The test suite checks the
+moments against an independent enumeration of every (value, key) pair in
+exact arithmetic.
 """
 
 from __future__ import annotations
@@ -25,36 +26,49 @@ from math import lcm
 from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, is_exact
 
 
+def _centre(table, pmf) -> tuple[Scalar, list, Scalar]:
+    """The mean of ``table`` under ``pmf``, the table centred on it, and the
+    variance sum_i p_i c_i^2 of the centred table."""
+    mean = sum(p * t for p, t in zip(pmf, table))
+    centred = [t - mean for t in table]
+    return mean, centred, sum(p * c * c for p, c in zip(pmf, centred))
+
+
 def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     """Variance of the source value: the eavesdropper's loss when the code
     tells her nothing and she falls back to guessing the overall mean."""
-    values, pmf = arithmetic_view(alphabet)
-    mean = sum(p * y for p, y in zip(pmf, values))
-    return sum(p * (y - mean) * (y - mean) for p, y in zip(pmf, values))
+    return _centre(*arithmetic_view(alphabet))[2]
 
 
 @dataclass(frozen=True)
 class _BinMoments:
     """Per-bin moments of a payoff t(X) under a uniformly random key.
 
-    ``mean`` is E[t(X)]; for bin j, ``m0[j]`` is p(bin j), and ``s1[j]`` and
-    ``s2[j]`` are E[(t(X) - mean) 1{bin j}] and E[(t(X) - mean)^2 1{bin j}].
-    All are exact Fractions when the alphabet and the payoff are exact, and
-    floats otherwise.
+    ``mean`` is E[t(X)] and ``var`` is var(t(X)); ``pmf`` and ``centred``
+    list p_i and t_i - mean per value index i.  For bin j, ``m0[j]`` is
+    p(bin j) and ``s1[j]`` is E[(t(X) - mean) 1{bin j}].  All are exact
+    Fractions when the alphabet and the payoff are exact, and floats
+    otherwise.
     """
 
     exact: bool
     mean: Scalar
+    var: Scalar
+    pmf: tuple[Scalar, ...]
+    centred: tuple[Scalar, ...]
     m0: tuple[Scalar, ...]
     s1: tuple[Scalar, ...]
-    s2: tuple[Scalar, ...]
 
     def support(self) -> list[int]:
         return [j for j, w in enumerate(self.m0) if w > 0]
 
     def advantage(self) -> Scalar:
-        """var(E[t | bin]) = sum_j s1_j^2 / m0_j."""
-        return sum(self.s1[j] * self.s1[j] / self.m0[j] for j in self.support())
+        """var(E[t | bin]) = sum_j s1_j^2 / m0_j, capped at ``var``: in the
+        reals it never exceeds it, and on floats the two round differently,
+        so the cap keeps 0 <= advantage <= var.  On the exact path the cap is
+        an identity."""
+        adv = sum(self.s1[j] * self.s1[j] / self.m0[j] for j in self.support())
+        return min(adv, self.var)
 
     def posterior_means(self) -> tuple[Scalar | None, ...]:
         return tuple(
@@ -81,9 +95,9 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
 
     ``table[i]`` is the payoff of value index i; None means the value itself.
     Each (value, key) pair adds the value's weight p_i / 2**k and its centred
-    first and second moments to the bin it lands in.  On the exact path the
-    three per-value terms are put over common denominators first, so the pass
-    adds integers and divides once per bin at the end.
+    first moment to the bin it lands in.  On the exact path both per-value
+    terms are put over common denominators first, so the pass adds integers
+    and divides once per bin at the end.
     """
     if alphabet.m != code.m:
         raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
@@ -98,33 +112,25 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     else:
         pmf = [float(p) for p in pmf]
         table = [float(t) for t in table]
-    mean = sum(p * t for p, t in zip(pmf, table))
+    mean, centred, var = _centre(table, pmf)
     weight = [p / code.key_count for p in pmf]
-    centred = [t - mean for t in table]
-    terms = (
-        weight,
-        [w * c for w, c in zip(weight, centred)],
-        [w * c * c for w, c in zip(weight, centred)],
-    )
+    terms = (weight, [w * c for w, c in zip(weight, centred)])
     if exact:
-        scaled = [_over_common_denominator(t) for t in terms]
+        (a0, d0), (a1, d1) = [_over_common_denominator(t) for t in terms]
     else:
-        scaled = [(t, 1) for t in terms]
-    (a0, d0), (a1, d1), (a2, d2) = scaled
+        (a0, d0), (a1, d1) = [(t, 1) for t in terms]
     r = code.r
-    m0, s1, s2 = [0] * r, [0] * r, [0] * r
+    m0, s1 = [0] * r, [0] * r
     # Value by value, so a bin's float sums do not depend on the key order.
     for v, column in enumerate(zip(*code.assignment)):
-        w0, w1, w2 = a0[v], a1[v], a2[v]
+        w0, w1 = a0[v], a1[v]
         for b in column:
             m0[b] += w0
             s1[b] += w1
-            s2[b] += w2
     if exact:
         m0 = [Fraction(x, d0) for x in m0]
         s1 = [Fraction(x, d1) for x in s1]
-        s2 = [Fraction(x, d2) for x in s2]
-    return _BinMoments(exact, mean, tuple(m0), tuple(s1), tuple(s2))
+    return _BinMoments(exact, mean, var, tuple(pmf), tuple(centred), tuple(m0), tuple(s1))
 
 
 def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
@@ -135,8 +141,8 @@ def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
     never negative and equals ``bound_report``'s d_ach bit for bit.  On the
     exact path it is the sum over bins of the within-bin variance.
     """
-    d_max = max_distortion(alphabet)
-    return d_max - min(_bin_moments(code, alphabet).advantage(), d_max)
+    mom = _bin_moments(code, alphabet)
+    return mom.var - mom.advantage()
 
 
 def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
@@ -148,11 +154,10 @@ def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
 
     over observable bins.  The values are centred on E[Y] before they are
     summed, so no E[Y]^2 term is subtracted and the float result is never
-    negative.  It is capped at ``max_distortion``: in the reals it never
-    exceeds it, and on floats the two round differently, so the cap keeps
-    0 <= delta <= d_max.  On the exact path the cap is an identity.
+    negative.  It is capped at d_max, the variance from the same pass, so
+    0 <= delta <= d_max on floats as on exact input.
     """
-    return min(_bin_moments(code, alphabet).advantage(), max_distortion(alphabet))
+    return _bin_moments(code, alphabet).advantage()
 
 
 def is_perfectly_secure(
@@ -213,8 +218,7 @@ def bound_report(
     noise; on the exact path the slack is carried as an exact Fraction.
     """
     mom = _bin_moments(code, alphabet)
-    d_max = max_distortion(alphabet)
-    delta = min(mom.advantage(), d_max)
+    d_max, delta = mom.var, mom.advantage()
     spread = alphabet.spread
     bounds = decay_bounds(alphabet, code.k, d_max)
     if bounds is None:

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 
 from .analysis import DistortionReport, _BinMoments, _bin_moments
-from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view
+from .model import KeyedCode, Scalar, SourceAlphabet
 
 FORMS = ("general-sum-of-products", "pure-sum", "pure-product")
 
@@ -198,23 +198,15 @@ def _compose(system: JointSystem) -> _Composition:
         )
         for term in terms
     )
-    pmfs = [arithmetic_view(alphabet)[1] for alphabet in system.sources]
-    centred = [
-        [
-            [(t if mom.exact else float(t)) - mom.mean for t in table]
-            for table, mom in zip(term, row)
-        ]
-        for term, row in zip(terms, moments)
-    ]
     d_max = delta = 0
-    for a, row_a in enumerate(moments):
-        for b, row_b in enumerate(moments):
+    for row_a in moments:
+        for row_b in moments:
             qs = [ma.mean * mb.mean for ma, mb in zip(row_a, row_b)]
             d_max += _product_covariance(
                 qs,
                 [
-                    sum(p * u * v for p, u, v in zip(pmf, ua, ub))
-                    for pmf, ua, ub in zip(pmfs, centred[a], centred[b])
+                    sum(p * u * v for p, u, v in zip(ma.pmf, ma.centred, mb.centred))
+                    for ma, mb in zip(row_a, row_b)
                 ],
             )
             delta += _product_covariance(
@@ -325,11 +317,10 @@ def necessity_witness(
 
     if fn.form == "pure-product":
         for mom in components:
-            var = sum(mom.s2)
             if mom.exact:
-                zero = mom.mean == 0 or var == 0
+                zero = mom.mean == 0 or mom.var == 0
             else:
-                zero = abs(mom.mean) <= tol or abs(var) <= tol
+                zero = abs(mom.mean) <= tol or abs(mom.var) <= tol
             if zero:
                 return WitnessReport(
                     status="not-applicable",
