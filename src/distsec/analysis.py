@@ -115,10 +115,7 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     mean, centred, var = _centre(table, pmf)
     weight = [p / code.key_count for p in pmf]
     terms = (weight, [w * c for w, c in zip(weight, centred)])
-    if exact:
-        (a0, d0), (a1, d1) = [_over_common_denominator(t) for t in terms]
-    else:
-        (a0, d0), (a1, d1) = [(t, 1) for t in terms]
+    (a0, d0), (a1, d1) = [_over_common_denominator(t) if exact else (t, 1) for t in terms]
     r = code.r
     m0, s1 = [0] * r, [0] * r
     # Value by value, so a bin's float sums do not depend on the key order.

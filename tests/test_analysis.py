@@ -16,6 +16,7 @@ from conftest import (
     random_float_alphabet,
 )
 from distsec import (
+    DistortionReport,
     JointSystem,
     KeyedCode,
     achievable_distortion,
@@ -111,6 +112,7 @@ def test_moment_kernel_matches_oracle(data):
     assert achievable_distortion(code, a) == want.d_ach
     assert is_perfectly_secure(code, a) == want.secure
     mom = _bin_moments(code, a)
+    assert mom.var == want.d_max
     assert mom.m0 == want.prob
     assert mom.posterior_means() == want.means
     assert mom.support() == [j for j, p in enumerate(want.prob) if p > 0]
@@ -118,6 +120,7 @@ def test_moment_kernel_matches_oracle(data):
     mom = _bin_moments(code, a, table)
     want_table = exact_oracle(code, a, table)
     assert (mom.mean, mom.posterior_means()) == (want_table.mean, want_table.means)
+    assert mom.var == want_table.d_max
 
 
 def test_float_path_tracks_exact_path():
@@ -218,6 +221,20 @@ def test_float_report_never_contradicts_itself(data):
     rep = bound_report(code_a, a)
     _assert_report_contract(rep)
     assert achievable_distortion(code_a, a) == rep.d_ach
+    # The traced bench assembles the report from these three parts and
+    # checks it against the subprocess output, so they must agree bit for bit.
+    d_max, delta = max_distortion(a), delta_closed_form(code_a, a)
+    spread, keys = a.spread, code_a.key_count
+    if a.is_uniform():
+        bound1_ok = delta <= d_max / keys + 1e-9 * d_max
+        bound2_ok = delta <= spread * spread / keys**2 + 1e-9 * spread * spread
+    else:
+        bound1_ok = bound2_ok = None
+    assert rep == DistortionReport(
+        d_max=d_max, d_ach=d_max - delta, delta=delta, spread=spread,
+        bound1_ok=bound1_ok, bound2_ok=bound2_ok,
+        perfectly_secure=is_perfectly_secure(code_a, a),
+    )
     one = JointSystem((a,), (code_a,), product_function([a.values]))
     _assert_report_contract(joint_distortion(one))
     b = data.draw(_float_alphabets())

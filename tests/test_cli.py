@@ -404,7 +404,7 @@ def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_
 
 def test_sweep_rejects_bad_grid(capsys):
     rc, _, _ = run(capsys, "sweep", "--values", "1..4", "--k", "5..1", "--alg", "greedy")
-    assert rc == 3
+    assert rc == 2
     rc, _, _ = run(capsys, "sweep", "--values", "1..4", "--k", "1", "--alg", "sneaky")
     assert rc == 2
 
@@ -816,10 +816,10 @@ MALFORMED = [
     ("simulate --code {tmp}/code.json --values 1,2,3", 3, "alphabet has 3 values, code expects 4"),
     ("simulate --system {tmp}/sys_badcode.json --trials 64", 3,
      "{tmp}/code_k_null.json: k must be an integer, got None"),
-    ("sweep --values 1..4 --k 5..1 --alg greedy", 3, "empty range '5..1'"),
+    ("sweep --values 1..4 --k 5..1 --alg greedy", 2, "argument --k: empty range '5..1'"),
     ("sweep --values 1..4 --k 1 --alg sneaky", 2, "unknown algorithm 'sneaky'"),
-    ("sweep --values 1..4 --k=-1 --alg greedy", 3, "key bit counts must be >= 0"),
-    ("sweep --values 1..4 --k 1,x --alg greedy", 3, "bad integer list '1,x'"),
+    ("sweep --values 1..4 --k=-1 --alg greedy", 2, "argument --k: key bit counts must be >= 0"),
+    ("sweep --values 1..4 --k 1,x --alg greedy", 2, "argument --k: bad integer list '1,x'"),
     ("sweep --values 1..4 --k 1 --alg greedy --seeds -3", 2,
      "argument --seeds: seed must fit in 64 bits"),
     ("sweep --values 1..4 --k 0..40 --alg greedy", 4, _CONSTRUCTION_CAP),

@@ -260,6 +260,16 @@ def test_product_witness_needs_nonzero_component_means():
     assert report.status == "not-applicable"
     assert report.observation is None
     assert report.joint_delta is None
+    # A nonzero constant factor has zero variance: no witness either.
+    constant = JointSystem(
+        sources=(QUAD, QUAD),
+        codes=(identity_code(4), greedy_code(QUAD, 1)),
+        function=product_function([VALS, (3, 3, 3, 3)]),
+    )
+    report = necessity_witness(constant, 0)
+    assert report.status == "not-applicable"
+    assert report.observation is None
+    assert report.joint_delta is None
 
 
 def test_witness_preconditions():
