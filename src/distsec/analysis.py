@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, is_exact
+from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, integer_view, is_exact
 
 
 def _centre(table, pmf) -> tuple[Scalar, list, Scalar]:
@@ -85,11 +84,6 @@ class _BinMoments:
         return all(abs(self.s1[j] / self.m0[j]) <= limit for j in self.support())
 
 
-def _over_common_denominator(xs: list[Fraction]) -> tuple[list[int], int]:
-    d = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (d // x.denominator) for x in xs], d
-
-
 def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinMoments:
     """One pass over the assignment table, O(m 2**k).
 
@@ -115,7 +109,7 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     mean, centred, var = _centre(table, pmf)
     weight = [p / code.key_count for p in pmf]
     terms = (weight, [w * c for w, c in zip(weight, centred)])
-    (a0, d0), (a1, d1) = [_over_common_denominator(t) if exact else (t, 1) for t in terms]
+    (a0, d0), (a1, d1) = [integer_view(t) if exact else (t, 1) for t in terms]
     r = code.r
     m0, s1 = [0] * r, [0] * r
     # Value by value, so a bin's float sums do not depend on the key order.

@@ -13,7 +13,7 @@ from bisect import insort
 from dataclasses import dataclass
 from random import Random
 
-from .model import KeyedCode, SourceAlphabet
+from .model import KeyedCode, SourceAlphabet, integer_view
 
 _SWAP_LIMIT = 1_000_000
 
@@ -129,12 +129,12 @@ def exchange_binning(
     and S_i, S_j for the bin sums, the change is -2(a-b)(S_i - S_j - (a-b)),
     and with equal bin sizes a - b is positive yet at most d < S_i - S_j.
     The state space is finite, so the loop terminates, with every final bin
-    sum inside [mean_sum - d, mean_sum + d].  The bin sums are taken once up
-    front, each swap re-sums only the two bins it touches, and two heaps
-    find the heaviest and lightest bins, ties toward the lower index, in
-    O(log m) per swap.  On floats, where two sums can differ by d in the
-    reals but a hair more after rounding, the loop also stops when a swap
-    would exactly undo the one before it.
+    sum inside [mean_sum - d, mean_sum + d].  The sums are exact for every
+    alphabet, floats included: integers over the values' common denominator
+    (``model.integer_view``).  They are taken once up front, a swap moves
+    the two it touches by -(a - b) and +(a - b), and two heaps find the
+    heaviest and lightest bins, ties toward the lower index, in O(log m)
+    per swap.
 
     Only r = m is supported: equal-size bins are what make the improving
     swap available, and r = m is the shape the completion step and the
@@ -167,8 +167,8 @@ def exchange_binning(
     shuffled = _seeded_permutation(m, copies, seed)
     bins = [sorted(shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
 
-    values = alphabet.values
-    d = alphabet.spread
+    values, _ = integer_view(alphabet.values)
+    d = values[0] - values[-1]
     sums = [sum(values[v] for v in content) for content in bins]
     # Entries go stale when their bin's sum changes and are dropped when
     # they surface; an entry that still holds its bin's sum is current.
@@ -176,7 +176,6 @@ def exchange_binning(
     light = [(s, j) for j, s in enumerate(sums)]
     heapify(heavy)
     heapify(light)
-    last = None
     for _ in range(_SWAP_LIMIT):
         while -heavy[0][0] != sums[heavy[0][1]]:
             heappop(heavy)
@@ -187,19 +186,14 @@ def exchange_binning(
             break
         a = bins[hi][0]  # smallest index = largest value
         b = bins[lo][-1]
-        if not values[a] > values[b] or (lo, hi, a, b) == last:
-            # Float near-ties: the spread is already within one gap of d, or
-            # the swap would undo the previous one and the loop would cycle.
-            break
-        last = (hi, lo, a, b)
         bins[hi].pop(0)
         bins[lo].pop()
         insort(bins[hi], b)
         insort(bins[lo], a)
-        # Re-summed from the contents, not adjusted by a - b, so a float sum
-        # is bit-identical to a fresh one and no swap decision drifts.
+        step = values[a] - values[b]
+        sums[hi] -= step
+        sums[lo] += step
         for j in (hi, lo):
-            sums[j] = sum(values[v] for v in bins[j])
             heappush(heavy, (-sums[j], j))
             heappush(light, (sums[j], j))
     else:

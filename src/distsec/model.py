@@ -9,7 +9,8 @@ types defined here.
 
 Numbers are kept in whatever domain they arrive in: int and Fraction inputs
 stay exact so that security claims can be asserted as equalities, float
-inputs follow ordinary float arithmetic.
+inputs follow float arithmetic in the analysis.  Exchange and search decide
+on the exact numbers floats hold (``integer_view``).
 """
 
 from __future__ import annotations
@@ -55,6 +56,15 @@ def _coerce_scalar(x, what: str) -> Scalar:
 def is_exact(x: Scalar) -> bool:
     """True when ``x`` carries no rounding (int or Fraction)."""
     return isinstance(x, (int, Fraction))
+
+
+def integer_view(xs) -> tuple[list[int], int]:
+    """Numerators of ``xs`` over their least common denominator, and that
+    denominator: exact for ints, Fractions and floats alike, since each gives
+    its exact ratio by ``as_integer_ratio`` (a float is a binary rational)."""
+    ratios = [x.as_integer_ratio() for x in xs]
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
 
 
 def arithmetic_view(alphabet: "SourceAlphabet") -> tuple[tuple, tuple]:

@@ -11,9 +11,11 @@ Partitions are generated as lexicographically sorted bin sequences (each bin
 an ascending tuple, bins non-decreasing), which visits every partition
 exactly once; the next bin always contains the smallest remaining index,
 since any later bin containing it would sort in front.  A bin of n copies
-with centred sum S scores S^2 / n; exact alphabets score it in integers, as
-(D S)^2 (L // n) for D the lcm of the centred values' denominators and
-L = lcm(1..2**k), and divide by L D^2 once at the end.
+with centred sum S scores S^2 / n.  Every alphabet, floats included (a float
+is a binary rational), is scored in integers: with A_i / D the values over
+their least common denominator, value i centred is (m A_i - sum_j A_j) / (m D)
+and a bin scores (m D S)^2 (L // n) for L = lcm(1..2**k).  The walk divides
+by L (m D)^2 once, at the end; a float alphabet reports float() of that.
 
 Pruning (on by default) drops any partial partition with two bins of at most
 2**(k-1) elements: two such bins can be merged into one legal bin, and
@@ -28,14 +30,10 @@ claim, not to find better codes.
 Pruning also cuts by a bound.  With c copies still unplaced and R their
 centred sum, Cauchy-Schwarz gives sum_j S_j^2 / n_j >= R^2 / c over the bins
 still to come, so a child whose score plus R^2 / c reaches the incumbent's
-score cannot lead to a strictly better leaf and is skipped; at an exact
-incumbent of 0 every child is, and the walk ends.  Exact alphabets compare
-in integers.  Floats allow a slack of 1e-12 times the walk's total, 2**k times
-the sum of squared centred values: far above the rounding of the few sums
-involved, so a rounded R never cuts a leaf that scores below the incumbent,
-even an incumbent of exactly 0.0.  A larger slack only keeps children the
-bound could have cut.  The unpruned mode applies no bound either: it stays
-the exhaustive reference.
+score cannot lead to a strictly better leaf and is skipped; at an
+incumbent of 0 every child is, and the walk ends.  The comparison is in
+integers, so it is exact.  The unpruned mode applies no bound either: it
+stays the exhaustive reference.
 
 The search ranks binnings alone.  When r = m is in the requested range the
 incumbent starts as the greedy code's binning, scored as the walk would
@@ -51,9 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .analysis import _over_common_denominator
 from .encoders import Binning, complete_key_assignment, greedy_code
-from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, arithmetic_view
+from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, integer_view
 
 # Desk-scale caps: the binning space grows factorially in m and in 2**k.
 MAX_M = 8
@@ -102,7 +99,8 @@ def verify_structure(code: KeyedCode) -> StructureReport:
 class SearchResult:
     """Outcome of a brute-force search.
 
-    ``best_delta`` is exact (Fraction) for exact alphabets.
+    ``best_delta`` is exact (Fraction) for exact alphabets, and float() of
+    the same exact optimum for float alphabets.
     ``candidates_examined`` counts the complete binnings the walk reaches;
     the greedy code's binning the walk starts from is not counted unless
     the walk reaches it.  ``pruned`` counts the subtrees cut by the
@@ -138,8 +136,7 @@ def brute_force_optimal(
             Pruned and unpruned searches return the same best advantage for
             every r_range, because the light-bin rule cuts a second light
             bin only where merging two light bins keeps the bin count at or
-            above the range's lower end (floats agree up to the rounding of
-            the scores).
+            above the range's lower end.
         force: search beyond the caps m <= MAX_M and k <= MAX_K, and
             unpruned beyond m * 2**k <= MAX_UNPRUNED_COPIES.  The space
             grows factorially, so without it such instances raise
@@ -173,20 +170,14 @@ def brute_force_optimal(
         raise ValueError(f"empty bin-count range {r_range} for m={m}")
     r_lo = max(r_lo, m)
 
-    # Ranked on values centred on their mean: for a complete binning the bin
-    # counts and sums total m 2**k and 0, so sum_j S_j^2 / n_j over centred
-    # sums is the advantage times m 2**k, with no mean^2 to cancel on floats.
-    values, _ = arithmetic_view(alphabet)
-    mean = sum(values) / m
-    values = [v - mean for v in values]
-    exact = alphabet.exact
-    if exact:
-        values, denom = _over_common_denominator(values)
-        scale = lcm(*range(1, cap + 1))
-        slack = 0
-    else:
-        scale = 1
-        slack = 1e-12 * cap * sum(v * v for v in values)  # for the bound cut
+    # Ranked on values centred on their mean, value i being values[i] / denom:
+    # they total 0, so for a complete binning (counts total m 2**k) the sum
+    # of S_j^2 / n_j over centred bin sums is the advantage times m 2**k.
+    values, d = integer_view(alphabet.values)
+    total = sum(values)
+    values = [m * v - total for v in values]
+    denom = m * d
+    scale = lcm(*range(1, cap + 1))
 
     best = None  # (score, bins); only a strictly lower score replaces it
     if r_lo == m:
@@ -195,13 +186,8 @@ def brute_force_optimal(
             for v, b in enumerate(row):
                 held[b].append(v)
         start = tuple(sorted(tuple(sorted(content)) for content in held))
-        q = 0 if exact else 0.0
-        for content in start:  # summed as the walk sums, so floats round alike
-            s = values[content[0]]
-            for v in content[1:]:
-                s = s + values[v]
-            q = q + (s * s * (scale // cap) if exact else s * s / cap)
-        best = (q, start)
+        q = sum(sum(values[v] for v in content) ** 2 for content in start)
+        best = (q * (scale // cap), start)
 
     remaining = [cap] * m
     bins: list[tuple[int, ...]] = []
@@ -240,11 +226,10 @@ def brute_force_optimal(
                 continue
             if left - n > (r_hi - 1 - len(bins) - 1) * cap:
                 continue  # remaining copies cannot fit behind this choice
-            child = q + (s * s * (scale // n) if exact else s * s / n)
+            child = q + s * s * (scale // n)
             c, r = left - n, rest - s
             # the c unplaced copies, summing to r, add at least r^2 / c
-            if (prune and c and best is not None
-                    and c * child + r * r * scale >= c * (best[0] + slack)):
+            if prune and c and best is not None and c * child + r * r * scale >= c * best[0]:
                 bound_cuts += 1
                 continue
             for v in content:
@@ -255,14 +240,14 @@ def brute_force_optimal(
             for v in content:
                 remaining[v] += 1
 
-    walk(m * cap, 0 if exact else 0.0, 0, cap * sum(values))
+    walk(m * cap, 0, 0, 0)
     if best is None:
         raise ValueError(f"no decodable code exists within bin-count range {r_range}")
     best_q, best_bins = best
-    best_delta = (Fraction(best_q, scale * denom * denom) if exact else best_q) / (cap * m)
+    best_delta = Fraction(best_q, scale * denom * denom * cap * m)
     return SearchResult(
         best_code=complete_key_assignment(Binning(m=m, bins=best_bins), k),
-        best_delta=best_delta,
+        best_delta=best_delta if alphabet.exact else float(best_delta),
         candidates_examined=examined,
         pruned=pruned,
         bound_cuts=bound_cuts,

@@ -62,9 +62,10 @@ def binning_of(code: KeyedCode, alphabet: SourceAlphabet | None = None) -> Binni
 
 def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
     """The exchange repair loop as plain scans: the library's seeded
-    permutation for the start, every bin sum recomputed after every swap,
-    and the heaviest and lightest bins found by ``max``/``min`` over all m
-    bins.  The library's loop must match it swap for swap.
+    permutation for the start, every bin sum recomputed in Fractions after
+    every swap, and the heaviest and lightest bins found by ``max``/``min``
+    over all m bins.  Float values are read as the exact numbers they hold.
+    The library's loop must match it swap for swap.
 
     Returns the binning and the sum of squared bin sums before the first
     swap and after each one.
@@ -72,18 +73,17 @@ def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
     m, copies = alphabet.m, 2**k
     shuffled = _seeded_permutation(m, copies, seed)
     bins = [sorted(shuffled[i * copies : (i + 1) * copies]) for i in range(m)]
-    values, d = alphabet.values, alphabet.spread
+    values = [Fraction(v) for v in alphabet.values]
+    d = values[0] - values[-1]
     trace = []
-    last = None
     for _ in range(1_000_000):
         sums = [sum(values[v] for v in content) for content in bins]
         trace.append(sum(s * s for s in sums))
         hi = max(range(m), key=lambda j: (sums[j], -j))
         lo = min(range(m), key=lambda j: (sums[j], j))
-        a, b = bins[hi][0], bins[lo][-1]
-        if sums[hi] - sums[lo] <= d or not values[a] > values[b] or (lo, hi, a, b) == last:
+        if sums[hi] - sums[lo] <= d:
             break
-        last = (hi, lo, a, b)
+        a, b = bins[hi][0], bins[lo][-1]
         bins[hi].pop(0)
         bins[lo].pop()
         insort(bins[hi], b)
@@ -91,7 +91,6 @@ def exchange_reference(alphabet: SourceAlphabet, k: int, seed: int):
     else:
         raise RuntimeError("reference swap loop did not settle")
     return Binning(m=m, bins=tuple(tuple(c) for c in bins)), trace
-
 
 
 @lru_cache(maxsize=None)

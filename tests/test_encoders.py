@@ -154,8 +154,10 @@ def test_exchange_lands_every_bin_sum_near_the_mean(seed, k):
     ([v / 3 for v in (-257, -240, 296, 23, -11, -40, 177, 198, 287, -20)], 4, 221),
 ])
 def test_exchange_matches_the_reference_on_non_dyadic_floats(values, k, seed):
-    # These sums round differently in every order: a loop that adjusted its
-    # sums by a - b instead of re-summing would drift and swap otherwise.
+    # Float sums of these values round differently in every order; exchange
+    # decides on the exact sums of the numbers the floats hold, as the
+    # Fraction reference does.  Deciding on float sums bins the last case
+    # otherwise.
     a = make_alphabet(values)
     assert exchange_binning(a, k, seed=seed) == exchange_reference(a, k, seed)[0]
 
@@ -170,16 +172,18 @@ def test_exchange_float_values_settle_in_interval():
         assert abs(s - mean_sum) <= a.spread + 1e-9
 
 
-def test_exchange_stops_before_undoing_a_swap_on_a_float_near_tie():
-    # Two bin sums differ by the spread in the reals but by one ulp more in
-    # floats: the next swap only trades the two sums back, and the loop used
-    # to cycle until its iteration guard raised.
+def test_exchange_settles_within_the_spread_where_float_sums_near_tie():
+    # The start's heaviest and lightest bin sums differ by exactly the
+    # spread, but by a hair more in float arithmetic, where a swap would
+    # only trade them back.  On exact sums every bin settles within the
+    # spread of the mean sum.
     a = make_alphabet([0.3, 0.3, 0.2])
     binning = exchange_binning(a, 3, seed=2701720168967440248)
     assert all(len(content) == 8 for content in binning.bins)
-    sums = [sum(a.values[v] for v in content) for content in binning.bins]
-    mean_sum = sum(a.values) / a.m * 8
-    assert all(abs(s - mean_sum) <= a.spread + 1e-12 for s in sums)
+    values = [Fraction(v) for v in a.values]
+    sums = [sum(values[v] for v in content) for content in binning.bins]
+    mean_sum = sum(values) / a.m * 8
+    assert all(abs(s - mean_sum) <= values[0] - values[-1] for s in sums)
 
 
 def test_the_seeded_shuffle_refuses_negative_seeds_and_over_2_32_copies():

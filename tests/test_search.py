@@ -57,7 +57,7 @@ def test_float_search_agrees_with_exact_on_large_offsets(values, k):
     exact = brute_force_optimal(make_alphabet([Fraction(v) for v in values]), k)
     floaty = brute_force_optimal(make_alphabet(values), k)
     assert exact.best_delta == (Fraction(5, 4) if k == 0 else 0)
-    assert abs(floaty.best_delta - exact.best_delta) <= 1e-9 * Fraction(5, 4)
+    assert floaty.best_delta == float(exact.best_delta)
 
 
 @pytest.mark.parametrize("values, k, options, delta, counters, table", [
@@ -72,21 +72,21 @@ def test_float_search_agrees_with_exact_on_large_offsets(values, k):
     ([Fraction(7, 3), Fraction(1, 2), -2, Fraction(5, 4), 3], 1,
      {"r_range": (6, 8), "prune": False},
      Fraction(109, 600), (590, 0, 0), ((0, 2, 4, 3, 1), (1, 3, 5, 2, 0))),
-    ([0.1, 0.7, 0.2, 1e8], 1, {}, 624999990000000.1, (2, 3, 7),
+    # Float rows walk as their Fraction twins: the twin's counters and
+    # table, and float() of its exact optimum.
+    ([0.1, 0.7, 0.2, 1e8], 1, {}, 624999990000000.0, (0, 0, 8),
      ((0, 2, 3, 1), (1, 3, 2, 0))),
     # The default caps' edge: the exhaustive walk took 40 s here.
     ([1, 2, 3, 4, 5], 2, {}, Fraction(0), (0, 0, 56),
      ((0, 2, 4, 3, 1), (0, 2, 4, 3, 1), (1, 3, 4, 2, 0), (1, 3, 4, 2, 0))),
-    # Float ties at rounding level, one with an incumbent of exactly 0.0,
-    # where a cut without the float slack shows in the counters.
-    ([0.1 * i for i in range(1, 9)], 1, {}, 1.1555579666323415e-33, (1, 0, 20),
+    # Near-ties that float scores rounded, one with an optimum of exactly
+    # 0: the exact scores settle them as the twins do.
+    ([0.1 * i for i in range(1, 9)], 1, {}, 4.2129717533470784e-34, (0, 0, 19),
      ((0, 2, 4, 6, 7, 5, 3, 1), (1, 3, 5, 7, 6, 4, 2, 0))),
-    ([1e8 + 0.1 * i for i in range(1, 5)], 2, {}, 0.0, (4, 20, 118),
+    ([1e8 + 0.1 * i for i in range(1, 5)], 2, {}, 0.0, (0, 0, 35),
      ((0, 2, 3, 1), (0, 2, 3, 1), (1, 3, 2, 0), (1, 3, 2, 0))),
-    # A float cut without slack reports 1.3999999999999996e-05 and another
-    # table here.
-    ([0.04, 0.03, 0.04, 0.01, 0.0], 1, {}, 1.3999999999999993e-05, (3, 3, 13),
-     ((0, 2, 4, 3, 1), (1, 3, 4, 2, 0))),
+    ([0.04, 0.03, 0.04, 0.01, 0.0], 1, {}, 1.3999999999999996e-05, (0, 0, 16),
+     ((0, 3, 4, 2, 1), (1, 2, 4, 0, 3))),
     ([2, 1, 1], 2, {}, Fraction(0), (2, 5, 39),
      ((0, 1, 2), (1, 0, 3), (2, 0, 3), (3, 1, 2))),
     # The other corner of the default caps: 101 s while every tying leaf
@@ -106,6 +106,39 @@ def test_search_walk_is_pinned(values, k, options, delta, counters, table):
     assert (result.candidates_examined, result.pruned, result.bound_cuts) == counters
     assert result.best_code.assignment == table
     assert type(result.best_delta) is type(delta) and result.best_delta == delta
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_float_search_walks_as_its_fraction_twin(data):
+    # Scores are exact for every alphabet, so a float alphabet and the
+    # Fractions of the numbers it holds walk the same tree: same counters,
+    # same winner, and a delta that is float() of the twin's.  Few tenths
+    # give duplicates.  Unpruned walks stop at 12 copies and m=5, k=2 keeps
+    # r_range's lower end at most m: the walks beyond take seconds each.
+    k = data.draw(st.integers(0, 2))
+    m = data.draw(st.integers(1, 5))
+    offset = data.draw(st.sampled_from([0, 1e8]))
+    tenths = st.integers(-4, 4) if data.draw(st.booleans()) else st.integers(-30, 30)
+    values = data.draw(st.lists(tenths.map(lambda v: offset + v / 10), min_size=m, max_size=m))
+    copies = m * 2**k
+    prune = copies > 12 or data.draw(st.booleans())
+    lo = data.draw(st.integers(0, m if copies > 16 else 2 * m + 1))
+    r_range = data.draw(st.one_of(
+        st.none(), st.tuples(st.just(lo), st.integers(max(lo, m) + 1, 2 * m + 3))
+    ))
+    floaty, twin = (make_alphabet(v) for v in (values, [Fraction(v) for v in values]))
+    try:
+        want = brute_force_optimal(twin, k, r_range=r_range, prune=prune)
+    except ValueError:
+        with pytest.raises(ValueError):
+            brute_force_optimal(floaty, k, r_range=r_range, prune=prune)
+        return
+    got = brute_force_optimal(floaty, k, r_range=r_range, prune=prune)
+    assert got.best_code == want.best_code
+    assert (got.candidates_examined, got.pruned, got.bound_cuts) == (
+        want.candidates_examined, want.pruned, want.bound_cuts)
+    assert type(got.best_delta) is float and got.best_delta == float(want.best_delta)
 
 
 @given(st.data())
