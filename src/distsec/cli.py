@@ -194,8 +194,8 @@ def _load_alphabet(args) -> SourceAlphabet:
     return make_alphabet(values, pmf)
 
 
-def _load_code(path: str, exact: bool) -> KeyedCode:
-    doc = _read_json(path, exact)
+def _load_code(path: str) -> KeyedCode:
+    doc = _read_json(path, exact=False)  # a code document holds only integers
     try:
         return code_from_dict(doc)
     except ValueError as e:
@@ -273,17 +273,16 @@ def _check_construction(m: int, k: int) -> None:
 
 
 def _build_code(alg: str, alphabet: SourceAlphabet, k: int, seed: int) -> KeyedCode:
+    """``alg`` is greedy, exchange or identity: argparse and _cmd_sweep check."""
     _check_construction(alphabet.m, 0 if alg == "identity" else k)
     if alg == "greedy":
         return greedy_code(alphabet, k)
     if alg == "exchange":
         binning = exchange_binning(alphabet, k, seed=seed)
         return complete_key_assignment(binning, k)
-    if alg == "identity":
-        if k not in (0, None):
-            raise ValueError("identity is the k=0 code")
-        return identity_code(alphabet.m)
-    raise CliError(f"unknown algorithm {alg!r}")
+    if k not in (0, None):
+        raise ValueError("identity is the k=0 code")
+    return identity_code(alphabet.m)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -299,7 +298,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_analyze(args) -> int:
     alphabet = _load_alphabet(args)
-    code = _load_code(args.code, args.exact)
+    code = _load_code(args.code)
     row = _alphabet_row(_content_id(alphabet_to_dict(alphabet)), code, alphabet, "na", None)
     _write_text(args.output, _csv_text(REPORT_COLUMNS, [row]))
     return 0
@@ -331,7 +330,8 @@ def _cmd_search(args) -> int:
         "exhaustive": True,  # pruning only drops dominated binnings
         "best_code": code_to_dict(result.best_code),
     }
-    _write_text(args.output, json.dumps(doc, indent=2) + "\n")
+    # allow_nan=False: a non-finite number is not JSON, so it exits 3
+    _write_text(args.output, json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -342,7 +342,7 @@ def _is_list_of(x, depth: int) -> bool:
     return depth == 1 or all(_is_list_of(item, depth - 1) for item in x)
 
 
-def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
+def _parse_system(doc, base_dir: str) -> JointSystem:
     version = doc.get("version") if isinstance(doc, dict) else None
     if isinstance(version, bool) or version != 1:
         raise ValueError("system config must be a JSON object with version: 1")
@@ -366,7 +366,7 @@ def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
             raise ValueError(f"code path must be a string, got {path!r}")
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        codes.append(_load_code(path, exact))
+        codes.append(_load_code(path))
     fn = doc["function"]
     if not isinstance(fn, dict) or "components" not in fn:
         raise ValueError("function must be an object with components")
@@ -386,7 +386,7 @@ def _parse_system(doc, base_dir: str, exact: bool) -> JointSystem:
 
 def _cmd_compose(args) -> int:
     doc = _read_json(args.config, args.exact)
-    system = _parse_system(doc, os.path.dirname(os.path.abspath(args.config)), args.exact)
+    system = _parse_system(doc, os.path.dirname(os.path.abspath(args.config)))
     report = joint_distortion(system)
     row = _report_row(
         _content_id(doc),
@@ -405,10 +405,10 @@ def _cmd_simulate(args) -> int:
         raise CliError("give exactly one of --code or --system")
     if args.system is not None:
         doc = _read_json(args.system, args.exact)
-        target = _parse_system(doc, os.path.dirname(os.path.abspath(args.system)), args.exact)
+        target = _parse_system(doc, os.path.dirname(os.path.abspath(args.system)))
     else:
         alphabet = _load_alphabet(args)
-        target = (_load_code(args.code, args.exact), alphabet)
+        target = (_load_code(args.code), alphabet)
     report = simulate(SimConfig(trials=args.trials, seed=args.seed, target=target))
     rows = [[
         str(report.trials),

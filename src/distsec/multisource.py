@@ -319,7 +319,9 @@ def necessity_witness(
             if mom.exact:
                 zero = mom.mean == 0 or mom.var == 0
             else:
-                zero = abs(mom.mean) <= tol or abs(mom.var) <= tol
+                # a variance is squared: its root is judged as secure() does
+                limit = tol * max(1.0, abs(mom.mean))
+                zero = abs(mom.mean) <= tol or math.sqrt(mom.var) <= limit
             if zero:
                 return WitnessReport(
                     status="not-applicable",

@@ -740,6 +740,7 @@ def _malformed_fixtures(tmp):
     files = {
         "bad.json": "{not json",
         "code_k_null.json": json.dumps(dict(code, k=None)),
+        "code_bin_half.json": json.dumps(dict(code, assignment=[[1.5, 0, 1, 2], [0, 1, 2, 3]])),
         "alpha_values5.json": json.dumps({"values": 5}),
         "sys_v2.json": json.dumps(dict(system, version=2)),
         "sys_nocodes.json": json.dumps({k: v for k, v in system.items() if k != "codes"}),
@@ -783,6 +784,9 @@ MALFORMED = [
     ("analyze --code {tmp}/code.json --values 1,2,3", 3, "alphabet has 3 values, code expects 4"),
     ("analyze --code {tmp}/code_k_null.json --values 1,2,3,4", 3,
      "{tmp}/code_k_null.json: k must be an integer, got None"),
+    # --exact reads the alphabet, not the code: a code document holds integers
+    ("analyze --code {tmp}/code_bin_half.json --values 1,2,3,4 --exact", 3,
+     "{tmp}/code_bin_half.json: bin index must be an integer, got 1.5"),
     ("analyze --code {tmp}/code.json --values 1,2,3,4 --pmf 1/3,1/3,1/3,1/3", 3,
      "pmf sums to 4/3, expected 1"),
     ("analyze --code {tmp}/code.json --values 1,2,3,1e400", 3, "value must be finite, got inf"),
@@ -793,6 +797,10 @@ MALFORMED = [
     ("search --values 1,2 --k 1 --r-lo 2", 2, "--r-lo and --r-hi go together"),
     ("search --values 1,2 --k 1 --pmf 0.9,0.1", 3, "search requires a uniform alphabet"),
     ("search --values 1,2 --k 1 --r-lo 5 --r-hi 5", 3, "empty bin-count range (5, 5) for m=2"),
+    ("search --values 1e300,1e-300,3.5,2.25,7e10 --k 2", 3,
+     "integer division result too large for a float"),
+    ("search --values 1e300,1e-300,3.5,2.25,7e10 --k 2 --exact", 3,
+     "integer division result too large for a float"),
     ("compose --config {tmp}/missing.json", 3, "cannot read {tmp}/missing.json: " + _NO_FILE),
     ("compose --config {tmp}/sys_v2.json", 3,
      "system config must be a JSON object with version: 1"),

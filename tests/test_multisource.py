@@ -272,6 +272,23 @@ def test_product_witness_needs_nonzero_component_means():
     assert report.joint_delta is None
 
 
+def test_product_witness_on_a_small_scale_float_factor():
+    # The small factor's variance, 1.25e-10, is below tol = 1e-9 though its
+    # values spread: judged on its root, at the mean's scale, it is nonzero.
+    big = make_alphabet([1.0, 2.0, 3.0, 4.0])
+    small = make_alphabet([1e-5, 2e-5, 3e-5, 4e-5])
+    system = JointSystem(
+        sources=(big, small),
+        codes=(identity_code(4), greedy_code(small, 1)),
+        function=product_function([big.values, small.values]),
+    )
+    report = necessity_witness(system, 0)
+    assert report.status == "found"
+    assert report.conditional_mean != report.function_mean
+    assert report.joint_delta == joint_distortion(system).delta > 0
+    assert not joint_distortion(system).perfectly_secure
+
+
 def test_witness_preconditions():
     secure = _two_source_system(sum_function([VALS, VALS]))
     with pytest.raises(ValueError, match="perfectly secure"):
