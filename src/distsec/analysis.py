@@ -12,7 +12,9 @@ Every function here reads one set of moments, built by a single pass over
 the code's assignment table: the payoff's variance, and for each bin its
 probability mass and the first moment of the payoff centred on its overall
 mean.  Centring keeps the float path from cancelling large offsets against
-each other; on the exact path it changes nothing.  The test suite checks the
+each other.  The exact path puts the pmf and the payoff over common
+denominators first, so the pass and the verdicts add and compare integers
+and a Fraction is formed only for a reported number.  The test suite checks the
 moments against an independent enumeration of every (value, key) pair in
 exact arithmetic.
 """
@@ -21,8 +23,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .model import KeyedCode, Scalar, SourceAlphabet, arithmetic_view, integer_view, is_exact
+from .model import KeyedCode, Scalar, SourceAlphabet, integer_view, is_exact
 
 
 def _centre(table, pmf) -> tuple[Scalar, list, Scalar]:
@@ -33,43 +36,117 @@ def _centre(table, pmf) -> tuple[Scalar, list, Scalar]:
     return mean, centred, sum(p * c * c for p, c in zip(pmf, centred))
 
 
+def _centre_exact(table, pmf) -> tuple[list[int], int, list[int], int, Fraction, Fraction]:
+    """``_centre`` in integers, for an exact table and pmf.
+
+    With the pmf over its common denominator P (numerators b_i) and the
+    table over its own, D (numerators A_i), S = sum_i b_i A_i and the
+    centred numerators C_i = P A_i - S put t_i - mean over PD.  Returns b,
+    P, C, PD, the mean S / PD and the variance sum_i b_i C_i^2 / (P (PD)^2).
+    """
+    b, p = integer_view(pmf)
+    a, d = integer_view(table)
+    s = sum(x * y for x, y in zip(b, a))
+    c = [p * y - s for y in a]
+    pd = p * d
+    return b, p, c, pd, Fraction(s, pd), Fraction(sum(x * y * y for x, y in zip(b, c)), p * pd * pd)
+
+
 def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     """Variance of the source value: the eavesdropper's loss when the code
     tells her nothing and she falls back to guessing the overall mean."""
-    return _centre(*arithmetic_view(alphabet))[2]
+    if alphabet.exact:
+        return _centre_exact(alphabet.values, alphabet.pmf)[5]
+    return _centre(alphabet.values, alphabet.pmf)[2]
 
 
 @dataclass(frozen=True)
 class _BinMoments:
     """Per-bin moments of a payoff t(X) under a uniformly random key.
 
-    ``mean`` is E[t(X)] and ``var`` is var(t(X)); ``pmf`` and ``centred``
-    list p_i and t_i - mean per value index i.  For bin j, ``m0[j]`` is
-    p(bin j) and ``s1[j]`` is E[(t(X) - mean) 1{bin j}].  All are exact
-    Fractions when the alphabet and the payoff are exact, and floats
-    otherwise.
+    ``mean`` is E[t(X)] and ``var`` is var(t(X)).  ``pmf`` and ``centred``
+    list p_i and t_i - mean per value index i; for bin j, ``m0[j]`` is
+    p(bin j) and ``s1[j]`` is E[(t(X) - mean) 1{bin j}].
+
+    The pass keeps those four lists as ``b``, ``c``, ``b0`` and ``b1``.  On
+    floats they are the lists themselves.  On the exact path they are
+    integer numerators: over P, PD, KP and KP * PD, with P = ``pden``, PD =
+    ``cden`` and K = ``keys`` = 2**k, and ``mean`` and ``var`` are
+    Fractions.  The sums and verdicts below read the integers; the four
+    lists are formed as Fractions only when one is read.
     """
 
     exact: bool
     mean: Scalar
     var: Scalar
-    pmf: tuple[Scalar, ...]
-    centred: tuple[Scalar, ...]
-    m0: tuple[Scalar, ...]
-    s1: tuple[Scalar, ...]
+    b: tuple
+    c: tuple
+    b0: tuple
+    b1: tuple
+    keys: int = 1
+    pden: int = 1
+    cden: int = 1
+
+    def _over(self, nums, den) -> tuple:
+        return tuple(Fraction(x, den) for x in nums) if self.exact else nums
+
+    @cached_property
+    def pmf(self) -> tuple:
+        return self._over(self.b, self.pden)
+
+    @cached_property
+    def centred(self) -> tuple:
+        return self._over(self.c, self.cden)
+
+    @cached_property
+    def m0(self) -> tuple:
+        return self._over(self.b0, self.keys * self.pden)
+
+    @cached_property
+    def s1(self) -> tuple:
+        return self._over(self.b1, self.keys * self.pden * self.cden)
 
     def support(self) -> list[int]:
-        return [j for j, w in enumerate(self.m0) if w > 0]
+        return [j for j, w in enumerate(self.b0) if w > 0]
+
+    def covariance(self, other: _BinMoments) -> Scalar:
+        """cov(t(X), u(X)) = sum_i p_i c_i c'_i, for ``other`` the pass of a
+        payoff u over the same alphabet."""
+        if self.exact and other.exact:
+            total = sum(x * y * z for x, y, z in zip(self.b, self.c, other.c))
+            return Fraction(total, self.pden * self.cden * other.cden)
+        return sum(p * u * v for p, u, v in zip(self.pmf, self.centred, other.centred))
+
+    def posterior_covariance(self, other: _BinMoments) -> Scalar:
+        """cov(E[t | bin], E[u | bin]) = sum_j s1_j s1'_j / m0_j over
+        observable bins, for ``other`` the pass of a payoff u under the same
+        code and alphabet.  In integers that is sum_j B1_j B1'_j / B0_j over
+        K P (PD)(PD)'; the bins are grouped by B0_j first, so one Fraction
+        is formed per distinct bin mass."""
+        if self.exact and other.exact:
+            groups: dict[int, int] = {}
+            for w, x, y in zip(self.b0, self.b1, other.b1):
+                if w:
+                    groups[w] = groups.get(w, 0) + x * y
+            total = sum((Fraction(t, w) for w, t in groups.items()), Fraction(0))
+            return total / (self.keys * self.pden * self.cden * other.cden)
+        s1, t1, m0 = self.s1, other.s1, self.m0
+        return sum(s1[j] * t1[j] / m0[j] for j in self.support())
 
     def advantage(self) -> Scalar:
         """var(E[t | bin]) = sum_j s1_j^2 / m0_j, capped at ``var``: in the
         reals it never exceeds it, and on floats the two round differently,
         so the cap keeps 0 <= advantage <= var.  On the exact path the cap is
         an identity."""
-        adv = sum(self.s1[j] * self.s1[j] / self.m0[j] for j in self.support())
-        return min(adv, self.var)
+        return min(self.posterior_covariance(self), self.var)
 
     def posterior_means(self) -> tuple[Scalar | None, ...]:
+        if self.exact:
+            # s1_j / m0_j = B1_j / (B0_j PD)
+            return tuple(
+                self.mean + Fraction(x, w * self.cden) if w > 0 else None
+                for w, x in zip(self.b0, self.b1)
+            )
         return tuple(
             self.mean + s / w if w > 0 else None for w, s in zip(self.m0, self.s1)
         )
@@ -79,7 +156,8 @@ class _BinMoments:
         exactly on the exact path, within ``tol`` scaled by max(1, |mean|)
         on floats."""
         if self.exact:
-            return all(self.s1[j] == 0 for j in self.support())
+            # B1_j == 0 on every bin; an unobservable bin has B1_j == 0 too.
+            return not any(self.b1)
         limit = tol * max(1.0, abs(self.mean))
         return all(abs(self.s1[j] / self.m0[j]) <= limit for j in self.support())
 
@@ -88,40 +166,41 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     """One pass over the assignment table, O(m 2**k).
 
     ``table[i]`` is the payoff of value index i; None means the value itself.
-    Each (value, key) pair adds the value's weight p_i / 2**k and its centred
-    first moment to the bin it lands in.  On the exact path both per-value
-    terms are put over common denominators first, so the pass adds integers
-    and divides once per bin at the end.
+    Each (value, key) pair adds the value's weight and its centred first
+    moment to the bin it lands in.  On floats those are p_i / 2**k and
+    p_i c_i / 2**k.  On the exact path they are the integers b_i and
+    b_i C_i of ``_centre_exact``, so the pass adds integers alone: bin j
+    gets B0_j = sum b_i and B1_j = sum b_i C_i over the pairs it receives,
+    and the common denominators stay out of the pass (see ``_BinMoments``).
     """
     if alphabet.m != code.m:
         raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
-    values, pmf = arithmetic_view(alphabet)
     if table is None:
-        table = values
+        table = alphabet.values
     elif len(table) != code.m:
         raise ValueError(f"table has {len(table)} entries for {code.m} values")
     exact = alphabet.exact and all(is_exact(t) for t in table)
     if exact:
-        table = [Fraction(t) for t in table]
+        b, pden, c, cden, mean, var = _centre_exact(table, alphabet.pmf)
+        keys = code.key_count
+        w0, w1 = b, [x * y for x, y in zip(b, c)]
     else:
-        pmf = [float(p) for p in pmf]
-        table = [float(t) for t in table]
-    mean, centred, var = _centre(table, pmf)
-    weight = [p / code.key_count for p in pmf]
-    terms = (weight, [w * c for w, c in zip(weight, centred)])
-    (a0, d0), (a1, d1) = [integer_view(t) if exact else (t, 1) for t in terms]
+        b = [float(p) for p in alphabet.pmf]
+        mean, c, var = _centre([float(t) for t in table], b)
+        keys = pden = cden = 1
+        w0 = [p / code.key_count for p in b]
+        w1 = [w * x for w, x in zip(w0, c)]
     r = code.r
-    m0, s1 = [0] * r, [0] * r
+    b0, b1 = [0] * r, [0] * r
     # Value by value, so a bin's float sums do not depend on the key order.
     for v, column in enumerate(zip(*code.assignment)):
-        w0, w1 = a0[v], a1[v]
-        for b in column:
-            m0[b] += w0
-            s1[b] += w1
-    if exact:
-        m0 = [Fraction(x, d0) for x in m0]
-        s1 = [Fraction(x, d1) for x in s1]
-    return _BinMoments(exact, mean, var, tuple(pmf), tuple(centred), tuple(m0), tuple(s1))
+        x0, x1 = w0[v], w1[v]
+        for j in column:
+            b0[j] += x0
+            b1[j] += x1
+    return _BinMoments(
+        exact, mean, var, tuple(b), tuple(c), tuple(b0), tuple(b1), keys, pden, cden
+    )
 
 
 def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:

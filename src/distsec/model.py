@@ -9,8 +9,8 @@ types defined here.
 
 Numbers are kept in whatever domain they arrive in: int and Fraction inputs
 stay exact so that security claims can be asserted as equalities, float
-inputs follow float arithmetic in the analysis.  Exchange and search decide
-on the exact numbers floats hold (``integer_view``).
+inputs follow float arithmetic in the analysis.  The constructions and the
+search decide on the exact numbers floats hold (``integer_view``).
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 Scalar = int | float | Fraction
 
@@ -67,24 +68,6 @@ def integer_view(xs) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in ratios], d
 
 
-def arithmetic_view(alphabet: "SourceAlphabet") -> tuple[tuple, tuple]:
-    """Values and pmf ready for posterior arithmetic.
-
-    Division is the one operation that kicks ints out of the exact domain
-    (int / int is a float), so on an exact alphabet every int is lifted to a
-    Fraction first.  Float alphabets pass through unchanged.
-    """
-    if alphabet.exact:
-        def lift(x):
-            return Fraction(x) if isinstance(x, int) else x
-
-        return (
-            tuple(lift(v) for v in alphabet.values),
-            tuple(lift(p) for p in alphabet.pmf),
-        )
-    return alphabet.values, alphabet.pmf
-
-
 @dataclass(frozen=True)
 class SourceAlphabet:
     """A finite value list with a probability mass function.
@@ -101,7 +84,9 @@ class SourceAlphabet:
     def m(self) -> int:
         return len(self.values)
 
-    @property
+    # The two flags scan every entry, so each is worked out once, on first
+    # use; the fields are frozen, so it cannot go stale.
+    @cached_property
     def exact(self) -> bool:
         """True when every value and pmf entry is an int or Fraction."""
         return all(is_exact(v) for v in self.values) and all(
@@ -115,6 +100,10 @@ class SourceAlphabet:
 
     def is_uniform(self) -> bool:
         """True when every symbol has probability exactly 1/m."""
+        return self._uniform
+
+    @cached_property
+    def _uniform(self) -> bool:
         u = Fraction(1, self.m)
         return all(p == u for p in self.pmf)
 

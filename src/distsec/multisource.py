@@ -187,8 +187,9 @@ def _compose(system: JointSystem) -> _Composition:
     For terms l, l' and source i let q_i = nu_i^l nu_i^l' be the product of
     the two factors' means.  Then cov(F_l, F_l') = prod_i (q_i + c_i) -
     prod_i q_i, where c_i is the covariance of f_i^(l)(X_i) and
-    f_i^(l')(X_i) for var(f), and of their posterior means,
-    sum_j s1_j^l s1_j^l' / m0_j, for var(E[f | G]).
+    f_i^(l')(X_i) for var(f) (``_BinMoments.covariance``), and of their
+    posterior means, sum_j s1_j^l s1_j^l' / m0_j, for var(E[f | G])
+    (``_BinMoments.posterior_covariance``).
     """
     moments = tuple(
         tuple(
@@ -200,20 +201,11 @@ def _compose(system: JointSystem) -> _Composition:
     d_max = delta = 0
     for row_a in moments:
         for row_b in moments:
-            qs = [ma.mean * mb.mean for ma, mb in zip(row_a, row_b)]
-            d_max += _product_covariance(
-                qs,
-                [
-                    sum(p * u * v for p, u, v in zip(ma.pmf, ma.centred, mb.centred))
-                    for ma, mb in zip(row_a, row_b)
-                ],
-            )
+            pairs = list(zip(row_a, row_b))
+            qs = [ma.mean * mb.mean for ma, mb in pairs]
+            d_max += _product_covariance(qs, [ma.covariance(mb) for ma, mb in pairs])
             delta += _product_covariance(
-                qs,
-                [
-                    sum(ma.s1[j] * mb.s1[j] / ma.m0[j] for j in ma.support())
-                    for ma, mb in zip(row_a, row_b)
-                ],
+                qs, [ma.posterior_covariance(mb) for ma, mb in pairs]
             )
     mean = sum(math.prod(mom.mean for mom in row) for row in moments)
     exact = all(mom.exact for row in moments for mom in row)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (
     binning_of,
     exact_oracle,
+    joint_oracle,
     random_code,
     random_exact_alphabet,
     random_float_alphabet,
@@ -19,6 +20,7 @@ from distsec import (
     DistortionReport,
     JointSystem,
     KeyedCode,
+    SeparableFunction,
     achievable_distortion,
     bound_report,
     complete_key_assignment,
@@ -58,6 +60,22 @@ def test_posterior_skips_unreachable_bins():
     assert mom.m0 == (1, 0)
     assert mom.posterior_means() == (7, None)
     assert mom.support() == [0]
+
+
+def test_int_alphabets_stay_exact():
+    # int / int is a float in Python; nothing an int alphabet reports may be.
+    two = make_alphabet([2, 1])
+    assert max_distortion(two) == Fraction(1, 4)
+    assert isinstance(max_distortion(two), Fraction)
+    mom = _bin_moments(identity_code(2), two)
+    assert all(isinstance(x, Fraction) for x in (mom.mean, mom.var, mom.advantage()))
+    assert all(isinstance(x, Fraction) for x in (*mom.pmf, *mom.centred, *mom.m0, *mom.s1))
+    assert all(isinstance(x, Fraction) for x in mom.posterior_means())
+    report = bound_report(greedy_code(two, 1), two)
+    assert all(isinstance(x, Fraction) for x in (report.d_max, report.d_ach, report.delta))
+    # float alphabets stay on floats
+    mom = _bin_moments(identity_code(2), make_alphabet([2.0, 1.0]))
+    assert all(isinstance(x, float) for x in (mom.mean, mom.var, *mom.pmf, *mom.centred))
 
 
 def test_identity_leaks_everything():
@@ -330,3 +348,76 @@ def test_merging_bins_never_helps_the_eavesdropper():
                     assert achievable_distortion(coarse, a) >= achievable_distortion(code, a)
                     merged_some += 1
     assert merged_some > 20  # the loop must actually exercise merges
+
+
+_RATIONALS = st.one_of(
+    st.integers(-60, 60),
+    st.fractions(min_value=-60, max_value=60, max_denominator=12),
+)
+
+
+@st.composite
+def _exact_alphabets(draw, max_m=6):
+    """Exact values with negatives and duplicates under a pmf with zero
+    weights, or under the uniform pmf now and then."""
+    m = draw(st.integers(1, max_m))
+    pool = draw(st.lists(_RATIONALS, min_size=1, max_size=m))
+    values = [draw(st.sampled_from(pool)) for _ in range(m)]
+    if draw(st.booleans()):
+        return make_alphabet(values)
+    weights = draw(st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any))
+    return make_alphabet(values, [Fraction(w, sum(weights)) for w in weights])
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_integer_moments_equal_the_oracle(data):
+    # The exact pass adds integer numerators and groups bins by mass; every
+    # number it reports must be the enumerated one, to the last digit.
+    alphabet = data.draw(_exact_alphabets())
+    code = _draw_code(data, alphabet)
+    want = exact_oracle(code, alphabet)
+    rep = bound_report(code, alphabet)
+    assert (rep.d_max, rep.d_ach, rep.delta) == (want.d_max, want.d_ach, want.delta)
+    assert rep.perfectly_secure == want.secure
+    assert (rep.bound1_ok is None) == (not alphabet.is_uniform())
+    assert max_distortion(alphabet) == want.d_max
+    assert achievable_distortion(code, alphabet) == want.d_ach
+    assert delta_closed_form(code, alphabet) == want.delta
+    assert is_perfectly_secure(code, alphabet) == want.secure
+    mom = _bin_moments(code, alphabet)
+    assert (mom.mean, mom.m0, mom.posterior_means()) == (want.mean, want.prob, want.means)
+    table = data.draw(st.lists(_RATIONALS, min_size=code.m, max_size=code.m))
+    mom = _bin_moments(code, alphabet, table)
+    want = exact_oracle(code, alphabet, table)
+    assert (mom.mean, mom.var, mom.advantage()) == (want.mean, want.d_max, want.delta)
+    assert (mom.posterior_means(), mom.secure(1e-9)) == (want.means, want.secure)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_composed_integer_moments_equal_the_joint_oracle(data):
+    sources = [data.draw(_exact_alphabets(max_m=4)) for _ in range(2)]
+    codes = [_draw_code(data, a) for a in sources]
+
+    def table(i):
+        if data.draw(st.booleans()):
+            return sources[i].values  # greedy codes often secure these
+        m = sources[i].m
+        return tuple(data.draw(st.lists(_RATIONALS, min_size=m, max_size=m)))
+
+    form = data.draw(st.sampled_from(["sum", "product", "general"]))
+    if form == "sum":
+        function = sum_function([table(0), table(1)])
+    elif form == "product":
+        function = product_function([table(0), table(1)])
+    else:
+        terms = data.draw(st.integers(1, 3))
+        function = SeparableFunction(
+            n=2, components=tuple((table(0), table(1)) for _ in range(terms))
+        )
+    system = JointSystem(sources=tuple(sources), codes=tuple(codes), function=function)
+    want = joint_oracle(system)
+    rep = joint_distortion(system)
+    assert (rep.d_max, rep.d_ach, rep.delta) == (want.d_max, want.d_ach, want.delta)
+    assert rep.perfectly_secure == want.secure

@@ -17,7 +17,7 @@ from distsec import (
     greedy_code,
     make_alphabet,
 )
-from distsec.model import arithmetic_view, parse_rational, scalar_from_json, scalar_to_json
+from distsec.model import parse_rational, scalar_from_json, scalar_to_json
 
 
 def test_values_sorted_descending_with_permutation_record():
@@ -54,15 +54,6 @@ def test_exactness_flag():
     assert make_alphabet([1, Fraction(1, 2)]).exact
     assert not make_alphabet([1.0, 2]).exact
     assert not make_alphabet([1, 2], [0.5, 0.5]).exact
-
-
-def test_arithmetic_view_lifts_ints():
-    vals, pmf = arithmetic_view(make_alphabet([2, 1]))
-    assert all(isinstance(v, Fraction) for v in vals)
-    assert all(isinstance(p, Fraction) for p in pmf)
-    # float alphabets pass through untouched
-    vals, _ = arithmetic_view(make_alphabet([2.0, 1.0]))
-    assert all(isinstance(v, float) for v in vals)
 
 
 def test_bad_alphabets_rejected():
