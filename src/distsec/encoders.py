@@ -92,20 +92,25 @@ def greedy_code(alphabet: SourceAlphabet, k: int) -> KeyedCode:
     exactly when the values form an arithmetic progression.
 
     The result uses r = m bins and every bin receives exactly one value per
-    key, so each bin ends up with 2**k elements.
+    key, so each bin ends up with 2**k elements.  The sums are exact for
+    every alphabet, floats included: integers over the values' common
+    denominator (``model.integer_view``), so a float alphabet gets the code
+    of the exact numbers it holds.
     """
     if k < 0:
         raise ValueError("key bit count must be >= 0")
     m = alphabet.m
+    values, _ = integer_view(alphabet.values)
     rows = [tuple(range(m))]
-    partial = list(alphabet.values)
+    partial = list(values)
     for _ in range(1, 2**k):
-        ranked = sorted(range(m), key=lambda b: (partial[b], b))
+        # A stable sort of the ascending indices breaks ties toward the lower one.
+        ranked = sorted(range(m), key=partial.__getitem__)
         # ranked[t] is the bin with the t-th smallest sum; it receives the
         # t-th largest value, so the row is the ranking itself.
         rows.append(tuple(ranked))
         for t, b in enumerate(ranked):
-            partial[b] = partial[b] + alphabet.values[t]
+            partial[b] += values[t]
     return KeyedCode(m=m, k=k, r=m, assignment=tuple(rows))
 
 

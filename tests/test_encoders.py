@@ -70,6 +70,16 @@ def test_greedy_ties_go_to_lower_bin():
     assert code.assignment[1] == (0, 1, 2, 3)
 
 
+def test_greedy_ranks_float_near_ties_on_exact_sums():
+    # Float sums of these values near-tie at k=3 and order the last key row
+    # differently from the exact sums; greedy ranks on the exact sums, so
+    # the floats get the code of their decimal Fraction twins.
+    floats = make_alphabet([0.4, 0.3, 1.4])
+    twins = make_alphabet([Fraction("0.4"), Fraction("0.3"), Fraction("1.4")])
+    assert greedy_code(floats, 3) == greedy_code(twins, 3)
+    assert greedy_code(floats, 3).assignment[7] == (0, 1, 2)
+
+
 def test_greedy_rejects_negative_k():
     with pytest.raises(ValueError):
         greedy_code(make_alphabet([1, 2]), -1)
