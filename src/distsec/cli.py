@@ -38,6 +38,15 @@ from .simulation import SimConfig, simulate
 # Largest m * 2**k (value, key) table a construction may build.  At the cap,
 # exchange plus completion takes under 20 s.
 CONSTRUCTION_CAP = 1_000_000
+# A sweep whose rows hold fewer (value, key) pairs than this in total runs
+# in process whatever --jobs is: below it, starting a pool costs more than
+# the second worker saves.  Measured on 2 CPUs with `sweep --values 1..N
+# --k 0..5 --alg greedy,exchange` (126 N pairs) as a subprocess, median
+# seconds of 5-9 runs, serial against a pool of 2, float then --exact:
+#   12k pairs: 0.20 vs 0.26, 0.16 vs 0.20    33k: 0.25 vs 0.27, 0.18 vs 0.23
+#   65k-131k:  within noise either way (0.26-0.66 s against 0.30-0.56 s)
+#   197k:      0.72 vs 0.51, 0.82 vs 0.67    262k: 1.14 vs 0.77, 0.97 vs 0.82
+POOL_BREAK_EVEN = 2**16
 REPORT_COLUMNS = [
     "alphabet_id",
     "m",
@@ -453,7 +462,8 @@ def _cmd_sweep(args) -> int:
                 specs.append((row_id, alphabet, k, alg, seed))
     # More workers than rows or CPUs cannot help, and the pool starts them all.
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
-    if workers > 1:
+    work = sum(alphabet.m * 2 ** (0 if alg == "identity" else k) for _, _, k, alg, _ in specs)
+    if workers > 1 and work >= POOL_BREAK_EVEN:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, specs))

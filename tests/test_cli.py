@@ -19,6 +19,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -261,7 +262,10 @@ def test_sweep_irregular_decay_table(capsys, tmp_path):
     assert greedy_delta == sorted(greedy_delta, reverse=True)
 
 
-def test_sweep_jobs_flag_is_equivalent(capsys, tmp_path):
+def test_sweep_jobs_flag_is_equivalent(capsys, tmp_path, monkeypatch):
+    # A sweep this light runs in process; lowering the break-even puts it
+    # on the pool.
+    monkeypatch.setattr(distsec.cli, "POOL_BREAK_EVEN", 0)
     serial, parallel = tmp_path / "s.csv", tmp_path / "p.csv"
     base = ("sweep", "--values", "1..6", "--k", "1..2", "--alg", "greedy,exchange",
             "--seeds", "1,2")
@@ -300,6 +304,12 @@ def test_sweep_pool_is_bounded_by_rows_and_cpus(capsys, tmp_path, monkeypatch):
             "--seeds", "1,2")
     rc, _, _ = run(capsys, *base, "-o", str(serial))
     assert rc == 0 and sizes == []
+    # 144 (value, key) pairs are below the break-even: no pool at any --jobs.
+    rc, _, _ = run(capsys, *base, "--jobs", "100000", "-o", str(bounded))
+    assert rc == 0 and sizes == []
+    assert serial.read_bytes() == bounded.read_bytes()
+    # The 3-row sweep below holds 6 * (2 + 4 + 8) = 84 pairs, exactly enough.
+    monkeypatch.setattr(distsec.cli, "POOL_BREAK_EVEN", 84)
     rc, _, _ = run(capsys, *base, "--jobs", "100000", "-o", str(bounded))
     assert rc == 0 and sizes == [4]  # 8 rows, 4 CPUs
     assert serial.read_bytes() == bounded.read_bytes()
@@ -377,10 +387,19 @@ def test_fresh_sweep_bytes_do_not_depend_on_jobs():
     rc, serial, heavy = run_fresh(*base, "--jobs", "1")
     assert (rc, heavy) == (0, set())
     assert len(csv_rows(serial.decode())) == 7
+    # A light sweep stays in process whatever --jobs is.
     rc, pooled, heavy = run_fresh(*base, "--jobs", "2")
-    assert (rc, pooled) == (0, serial)
-    if (os.cpu_count() or 1) > 1:
-        assert heavy == {"concurrent.futures"}
+    assert (rc, pooled, heavy) == (0, serial, set())
+    # Two greedy rows of m and 2m pairs: 3m just below, then at the break-even.
+    for m, pools in (((distsec.cli.POOL_BREAK_EVEN - 1) // 3, False),
+                     (-(-distsec.cli.POOL_BREAK_EVEN // 3), True)):
+        heavier = ("sweep", f"--values=1..{m}", "--alg", "greedy", "--k", "0..1")
+        rc, serial, heavy = run_fresh(*heavier, "--jobs", "1")
+        assert (rc, heavy) == (0, set())
+        rc, pooled, heavy = run_fresh(*heavier, "--jobs", "2")
+        assert (rc, pooled) == (0, serial)
+        want = {"concurrent.futures"} if pools and (os.cpu_count() or 1) > 1 else set()
+        assert heavy == want, m
 
 
 def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_path):
@@ -1088,9 +1107,11 @@ def test_sweep_bytes_do_not_depend_on_jobs(data):
         if data.draw(st.booleans()):
             argv.append("--exact")
         outputs = []
-        for jobs in ("1", "2"):
-            path = Path(tmp, f"jobs{jobs}.csv")
-            rc, _, err = main_quiet(argv + ["--jobs", jobs, "-o", str(path)])
-            assert rc == 0, (argv, err)
-            outputs.append(path.read_bytes())
+        # These sweeps are light; a zero break-even puts --jobs 2 on the pool.
+        with mock.patch.object(distsec.cli, "POOL_BREAK_EVEN", 0):
+            for jobs in ("1", "2"):
+                path = Path(tmp, f"jobs{jobs}.csv")
+                rc, _, err = main_quiet(argv + ["--jobs", jobs, "-o", str(path)])
+                assert rc == 0, (argv, err)
+                outputs.append(path.read_bytes())
     assert outputs[0] == outputs[1]
