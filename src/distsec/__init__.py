@@ -9,79 +9,62 @@ independently keyed sources under separable functions, and a Monte Carlo
 cross-check, plus the ``distsec`` command-line front end.
 """
 
-from .analysis import (
-    DistortionReport,
-    achievable_distortion,
-    bound_report,
-    delta_closed_form,
-    is_perfectly_secure,
-    max_distortion,
-)
-from .encoders import (
-    Binning,
-    complete_key_assignment,
-    exchange_binning,
-    greedy_code,
-    identity_code,
-)
-from .model import (
-    CapExceededError,
-    KeyedCode,
-    SourceAlphabet,
-    alphabet_from_dict,
-    alphabet_to_dict,
-    code_from_dict,
-    code_to_dict,
-    make_alphabet,
-)
-from .multisource import (
-    JointSystem,
-    SeparableFunction,
-    WitnessReport,
-    check_sufficiency,
-    joint_distortion,
-    necessity_witness,
-    product_function,
-    sum_function,
-)
-from .search import SearchResult, StructureReport, brute_force_optimal, verify_structure
-from .simulation import SimConfig, SimReport, simulate
+# Each public name and the module that defines it.  ``import distsec`` loads
+# no submodule: a name's module is imported on its first use (PEP 562), so a
+# caller pays only for the layers it touches.
+_EXPORTS = {
+    "Binning": "encoders",
+    "CapExceededError": "caps",
+    "DistortionReport": "analysis",
+    "JointSystem": "multisource",
+    "KeyedCode": "model",
+    "SearchResult": "search",
+    "SeparableFunction": "multisource",
+    "SimConfig": "simulation",
+    "SimReport": "simulation",
+    "SourceAlphabet": "model",
+    "StructureReport": "search",
+    "WitnessReport": "multisource",
+    "achievable_distortion": "analysis",
+    "alphabet_from_dict": "model",
+    "alphabet_to_dict": "model",
+    "bound_report": "analysis",
+    "brute_force_optimal": "search",
+    "check_sufficiency": "multisource",
+    "code_from_dict": "model",
+    "code_to_dict": "model",
+    "complete_key_assignment": "encoders",
+    "delta_closed_form": "analysis",
+    "exchange_binning": "encoders",
+    "greedy_code": "encoders",
+    "identity_code": "encoders",
+    "is_perfectly_secure": "analysis",
+    "joint_distortion": "multisource",
+    "make_alphabet": "model",
+    "max_distortion": "analysis",
+    "necessity_witness": "multisource",
+    "product_function": "multisource",
+    "simulate": "simulation",
+    "sum_function": "multisource",
+    "verify_structure": "search",
+}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Binning",
-    "CapExceededError",
-    "DistortionReport",
-    "JointSystem",
-    "KeyedCode",
-    "SearchResult",
-    "SeparableFunction",
-    "SimConfig",
-    "SimReport",
-    "SourceAlphabet",
-    "StructureReport",
-    "WitnessReport",
-    "achievable_distortion",
-    "alphabet_from_dict",
-    "alphabet_to_dict",
-    "bound_report",
-    "brute_force_optimal",
-    "check_sufficiency",
-    "code_from_dict",
-    "code_to_dict",
-    "complete_key_assignment",
-    "delta_closed_form",
-    "exchange_binning",
-    "greedy_code",
-    "identity_code",
-    "is_perfectly_secure",
-    "joint_distortion",
-    "make_alphabet",
-    "max_distortion",
-    "necessity_witness",
-    "product_function",
-    "simulate",
-    "sum_function",
-    "verify_structure",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

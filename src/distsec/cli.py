@@ -10,30 +10,53 @@ Runs with identical flags and seeds write byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
-import json
 import math
 import os
 import sys
-from fractions import Fraction
+from importlib import import_module
 
-from .analysis import bound_report, decay_bounds
-from .encoders import complete_key_assignment, exchange_binning, greedy_code, identity_code
-from .model import (
-    CapExceededError,
-    KeyedCode,
-    SourceAlphabet,
-    alphabet_from_dict,
-    alphabet_to_dict,
-    code_from_dict,
-    code_to_dict,
-    make_alphabet,
-    parse_rational,
-    scalar_from_json,
-)
-from .multisource import JointSystem, SeparableFunction, joint_distortion
-from .search import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, brute_force_optimal
-from .simulation import SimConfig, simulate
+from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError
+
+# The library names the handlers call, by module.  Parsing needs none of
+# them, so none is imported up front: before a handler runs, ``main`` binds
+# the names of the modules its subcommand calls (``layers`` in
+# ``build_parser``), and any other access loads a name on first use
+# (``__getattr__``).  A name already set on this module, say by a tracer that
+# wraps it, is left as it is.
+_LIBRARY = {
+    "analysis": ("bound_report", "decay_bounds"),
+    "encoders": ("complete_key_assignment", "exchange_binning", "greedy_code", "identity_code"),
+    "model": (
+        "KeyedCode",
+        "SourceAlphabet",
+        "alphabet_from_dict",
+        "alphabet_to_dict",
+        "code_from_dict",
+        "code_to_dict",
+        "make_alphabet",
+        "parse_rational",
+        "scalar_from_json",
+    ),
+    "multisource": ("JointSystem", "SeparableFunction", "joint_distortion"),
+    "search": ("brute_force_optimal",),
+    "simulation": ("SimConfig", "simulate"),
+}
+_OWNER = {name: module for module, names in _LIBRARY.items() for name in names}
+
+
+def _bind(module: str) -> None:
+    """Import ``module`` and bind the names the handlers take from it."""
+    lib = import_module(f".{module}", __package__)
+    for name in _LIBRARY[module]:
+        globals().setdefault(name, getattr(lib, name))
+
+
+def __getattr__(name):
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_OWNER[name])
+    return globals()[name]
+
 
 # Largest m * 2**k (value, key) table a construction may build.  At the cap,
 # exchange plus completion takes under 20 s.
@@ -170,6 +193,8 @@ def _parse_int_range(text: str) -> list[int]:
 
 
 def _read_json(path: str, exact: bool):
+    import json
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if exact:
@@ -215,6 +240,7 @@ def _content_id(doc) -> str:
     """A report row's id: the first 12 hex digits of the SHA-1 of ``doc`` as
     sorted-key JSON."""
     import hashlib  # on use: most subcommands never hash
+    import json
 
     blob = json.dumps(doc, sort_keys=True, default=str)
     return hashlib.sha1(blob.encode()).hexdigest()[:12]
@@ -233,6 +259,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     import csv
+    import io
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
@@ -297,6 +324,8 @@ def _build_code(alg: str, alphabet: SourceAlphabet, k: int, seed: int) -> KeyedC
 # --- subcommand handlers ---------------------------------------------------
 
 def _cmd_encode(args) -> int:
+    import json
+
     alphabet = _load_alphabet(args)
     if args.alg != "identity" and args.k is None:
         raise CliError("--k is required for greedy and exchange")
@@ -314,6 +343,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    import json
+    from fractions import Fraction
+
     alphabet = _load_alphabet(args)
     r_range = None
     if args.r_lo is not None or args.r_hi is not None:
@@ -502,13 +534,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma list, lo..hi range, or @file.json")
     p.add_argument("--pmf", default=None, help="comma list of probabilities")
     p.add_argument("--k", type=int, default=None, help="key bits")
-    p.set_defaults(func=_cmd_encode)
+    p.set_defaults(func=_cmd_encode, layers=("model", "encoders"))
 
     p = sub.add_parser("analyze", parents=[common], help="distortion report for a code")
     p.add_argument("--code", required=True, help="code JSON file")
     p.add_argument("--values", required=True)
     p.add_argument("--pmf", default=None)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_analyze, layers=("model", "analysis"))
 
     p = sub.add_parser("search", parents=[common], help="brute-force optimal code")
     p.add_argument("--values", required=True)
@@ -522,11 +554,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help=f"search beyond the caps m <= {MAX_M}, k <= {MAX_K} "
                    f"and, with --no-prune, m*2**k <= {MAX_UNPRUNED_COPIES}")
-    p.set_defaults(func=_cmd_search)
+    p.set_defaults(func=_cmd_search, layers=("model", "search"))
 
     p = sub.add_parser("compose", parents=[common], help="analyze a multi-source system")
     p.add_argument("--config", required=True, help="system JSON config")
-    p.set_defaults(func=_cmd_compose)
+    p.set_defaults(func=_cmd_compose, layers=("model", "multisource"))
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo check")
     p.add_argument("--code", default=None)
@@ -534,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmf", default=None)
     p.add_argument("--system", default=None, help="system JSON config")
     p.add_argument("--trials", type=int, default=100_000)
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate, layers=("model", "multisource", "simulation"))
 
     p = sub.add_parser("sweep", parents=[common], help="report grid over k and algorithms")
     p.add_argument("--values", required=True)
@@ -543,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, help="comma list from greedy,exchange,identity")
     p.add_argument("--seeds", type=_parse_seeds, default=None,
                    help="comma list of seeds (default: --seed)")
-    p.set_defaults(func=_cmd_sweep)
+    p.set_defaults(func=_cmd_sweep, layers=("model", "encoders", "analysis"))
 
     return parser
 
@@ -551,6 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for module in args.layers:
+            _bind(module)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

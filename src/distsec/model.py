@@ -21,17 +21,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from .caps import CapExceededError  # re-exported as model.CapExceededError
+
 Scalar = int | float | Fraction
-
-
-class CapExceededError(RuntimeError):
-    """Raised when an instance exceeds a configured desk-scale cap.
-
-    Search is factorial and constructions are linear in m 2**k, which grows
-    exponentially in k; the caps exist so a typo does not turn into an
-    unbounded computation.  The caps are constants; only the search's
-    ``force`` flag lets an instance past its caps.
-    """
 
 
 def _coerce_scalar(x, what: str) -> Scalar:
@@ -40,6 +32,14 @@ def _coerce_scalar(x, what: str) -> Scalar:
     Booleans are refused although Python counts them as integers, and so
     are NaN and the infinities: no distortion is defined for them.
     """
+    # The exact types first: the abc checks below cost several times more.
+    t = type(x)
+    if t is int or t is Fraction:
+        return x
+    if t is float:
+        if not math.isfinite(x):
+            raise ValueError(f"{what} must be finite, got {x}")
+        return x
     if isinstance(x, bool):
         raise TypeError(f"{what} must be a real number, got bool")
     if isinstance(x, numbers.Integral):
@@ -104,8 +104,11 @@ class SourceAlphabet:
 
     @cached_property
     def _uniform(self) -> bool:
-        u = Fraction(1, self.m)
-        return all(p == u for p in self.pmf)
+        # tuple.count tests identity before ==, so the default pmf, one
+        # Fraction repeated m times, costs no Fraction comparison (a set
+        # would hash every entry, which costs more than comparing it).
+        first = self.pmf[0]
+        return first == Fraction(1, self.m) and self.pmf.count(first) == self.m
 
 
 def make_alphabet(values, pmf=None) -> SourceAlphabet:

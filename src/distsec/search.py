@@ -49,15 +49,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError
 from .encoders import Binning, complete_key_assignment, greedy_code
-from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, integer_view
-
-# Desk-scale caps: the binning space grows factorially in m and in 2**k.
-MAX_M = 8
-MAX_K = 2
-# The unpruned walk visits every binning: m * 2**k = 16 copies take seconds,
-# a few more take hours.
-MAX_UNPRUNED_COPIES = 16
+from .model import KeyedCode, Scalar, SourceAlphabet, integer_view
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,14 @@ import concurrent.futures
 import contextlib
 import copy
 import dataclasses
+import importlib
 import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import types
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -322,84 +324,143 @@ def test_sweep_pool_is_bounded_by_rows_and_cpus(capsys, tmp_path, monkeypatch):
     assert serial.read_bytes() == bounded.read_bytes()
 
 
-_LOADED = """
-import json, sys
-from distsec.cli import main
+# ``python -m distsec.cli`` with the exit code and every loaded module
+# appended to stderr.
+_AS_MAIN = """
+import runpy, sys
 try:
-    rc = main(sys.argv[1:])
-except SystemExit as e:  # --help
+    runpy.run_module("distsec.cli", run_name="__main__", alter_sys=True)
+except SystemExit as e:
     rc = e.code
-sys.stdout.flush()
-heavy = [name for name in ("numpy", "concurrent.futures") if name in sys.modules]
-print(json.dumps([rc, heavy]), file=sys.stderr)
+sys.stderr.write("\\n%s %s\\n" % (rc, " ".join(sys.modules)))
 """
+HEAVY = {"numpy", "concurrent.futures"}
 
 
 def run_fresh(*argv):
-    """Run ``main(argv)`` in a fresh interpreter.  Returns the exit code, the
-    stdout bytes and which of numpy and concurrent.futures were loaded."""
+    """Run ``python -m distsec.cli argv`` in a fresh interpreter.  Returns the
+    exit code, the stdout bytes and the modules loaded when it exits."""
     done = subprocess.run(
-        [sys.executable, "-c", _LOADED, *argv],
+        [sys.executable, "-c", _AS_MAIN, *argv],
         capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
     )
-    rc, heavy = json.loads(done.stderr.decode().splitlines()[-1])
-    return rc, done.stdout, set(heavy)
+    rc, *loaded = done.stderr.decode().splitlines()[-1].split(" ")
+    return int(rc), done.stdout, set(loaded)
 
 
-def test_start_up_loads_only_what_the_subcommand_runs(tmp_path):
+def test_start_up_loads_only_what_the_subcommand_runs():
     # numpy is most of the package's import time and only the sampler uses
     # it; the pool is only for sweep --jobs.
-    # pytest has already imported both, so only a fresh interpreter shows this.
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, distsec; "
-         "print(sorted({'numpy', 'concurrent.futures'} & set(sys.modules)))"],
-        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
-    )
-    assert done.stdout == "[]\n"
-    code = tmp_path / "code.json"
-    code.write_text(json.dumps(code_to_dict(greedy_code(QUAD, 1))))
-    system = _write_system(tmp_path)
-    light = [
-        ("--help",),
-        ("search", "--values", "1,2,3", "--k", "1"),
-        ("analyze", "--code", str(code), "--values", "1..4"),
-        ("compose", "--config", str(system)),
-        ("encode", "--alg", "greedy", "--values", "1..4", "--k", "1"),
-        ("encode", "--alg", "exchange", "--values", "1..4", "--k", "1"),
-    ]
-    for argv in light:
-        rc, out, heavy = run_fresh(*argv)
-        assert (rc, heavy) == (0, set()), argv
+    # pytest has already imported both, so only a fresh interpreter shows
+    # this.  One run of each subcommand is in
+    # test_each_subcommand_runs_alone_in_a_fresh_interpreter.
+    for argv in (("--help",), ("encode", "--alg", "greedy", "--values", "1..4", "--k", "1")):
+        rc, out, loaded = run_fresh(*argv)
+        assert (rc, HEAVY & loaded) == (0, set()), argv
         assert out
     # Malformed input exits before any construction.
-    rc, out, heavy = run_fresh("encode", "--alg", "exchange", "--values", "1,2,3",
-                               "--pmf", "0.5,0.25,0.25", "--k", "1")
-    assert (rc, out, heavy) == (3, b"", set())
-    rc, _, heavy = run_fresh("simulate", "--code", str(code), "--values", "1..4",
-                             "--trials", "100")
-    assert (rc, heavy) == (0, {"numpy"})
+    rc, out, loaded = run_fresh("encode", "--alg", "exchange", "--values", "1,2,3",
+                                "--pmf", "0.5,0.25,0.25", "--k", "1")
+    assert (rc, out, HEAVY & loaded) == (3, b"", set())
 
 
 def test_fresh_sweep_bytes_do_not_depend_on_jobs():
     # Exchange rows load neither numpy nor the pool; in process pytest has
     # both loaded already, so only a fresh run shows what a sweep loads.
     base = ("sweep", "--values", "1..6", "--alg", "greedy,exchange", "--k", "0..2")
-    rc, serial, heavy = run_fresh(*base, "--jobs", "1")
-    assert (rc, heavy) == (0, set())
+    rc, serial, loaded = run_fresh(*base, "--jobs", "1")
+    assert (rc, HEAVY & loaded) == (0, set())
     assert len(csv_rows(serial.decode())) == 7
     # A light sweep stays in process whatever --jobs is.
-    rc, pooled, heavy = run_fresh(*base, "--jobs", "2")
-    assert (rc, pooled, heavy) == (0, serial, set())
+    rc, pooled, loaded = run_fresh(*base, "--jobs", "2")
+    assert (rc, pooled, HEAVY & loaded) == (0, serial, set())
     # Two greedy rows of m and 2m pairs: 3m just below, then at the break-even.
     for m, pools in (((distsec.cli.POOL_BREAK_EVEN - 1) // 3, False),
                      (-(-distsec.cli.POOL_BREAK_EVEN // 3), True)):
         heavier = ("sweep", f"--values=1..{m}", "--alg", "greedy", "--k", "0..1")
-        rc, serial, heavy = run_fresh(*heavier, "--jobs", "1")
-        assert (rc, heavy) == (0, set())
-        rc, pooled, heavy = run_fresh(*heavier, "--jobs", "2")
+        rc, serial, loaded = run_fresh(*heavier, "--jobs", "1")
+        assert (rc, HEAVY & loaded) == (0, set())
+        rc, pooled, loaded = run_fresh(*heavier, "--jobs", "2")
         assert (rc, pooled) == (0, serial)
         want = {"concurrent.futures"} if pools and (os.cpu_count() or 1) > 1 else set()
-        assert heavy == want, m
+        assert HEAVY & loaded == want, m
+
+
+def test_cold_start_loads_only_the_layers_a_subcommand_calls(tmp_path):
+    # pytest has imported every layer already, so only a fresh interpreter
+    # shows what a run loads.
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, distsec; "
+         "print(sorted(m for m in sys.modules if m.startswith('distsec.') or m in "
+         f"{HEAVY!r}))"],
+        capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.stdout == "[]\n"
+    # Parsing, help and usage errors need only the caps.
+    for argv, want in ((("--help",), 0), (("sweep", "--help"), 0), (("bogus",), 2),
+                       (("search", "--values", "1,2", "--k", "x"), 2)):
+        rc, _, loaded = run_fresh(*argv)
+        assert rc == want, argv
+        assert {m for m in loaded if m.startswith("distsec")} <= {
+            "distsec", "distsec.cli", "distsec.caps"}, argv
+        assert not {"dataclasses", "fractions", "json"} & loaded, argv
+    rc, _, loaded = run_fresh("search", "--values", "1,2,3", "--k", "1")
+    assert rc == 0 and "distsec.search" in loaded
+    assert not {"distsec.analysis", "distsec.multisource", "distsec.simulation"} & loaded
+    code = tmp_path / "code.json"
+    code.write_text(json.dumps(code_to_dict(greedy_code(QUAD, 1))))
+    rc, _, loaded = run_fresh("analyze", "--code", str(code), "--values", "1..4")
+    assert rc == 0 and "distsec.analysis" in loaded
+    assert not {"distsec.search", "distsec.multisource", "distsec.simulation"} & loaded
+
+
+# One small valid run of each subcommand; {tmp} holds _write_system's files.
+_ONE_RUN = {
+    "encode": "encode --alg exchange --values 1..4 --k 1 --seed 3",
+    "analyze": "analyze --code {tmp}/code.json --values 1..4",
+    "search": "search --values 1,2,3 --k 1 --exact",
+    "compose": "compose --config {tmp}/system.json",
+    "simulate": "simulate --code {tmp}/code.json --values 1..4 --trials 1000",
+    "sweep": "sweep --values 1..5 --k 0..2 --alg greedy,exchange,identity",
+}
+
+
+@pytest.mark.parametrize("command", list(_ONE_RUN))
+def test_each_subcommand_runs_alone_in_a_fresh_interpreter(tmp_path, command):
+    # A handler that calls a layer its subcommand does not load would fail
+    # with a NameError (exit 1) in a fresh run only: in process, earlier
+    # tests have loaded every layer.  Only the sampler loads numpy.
+    _write_system(tmp_path)
+    argv = _ONE_RUN[command].format(tmp=tmp_path).split()
+    rc, out, loaded = run_fresh(*argv)
+    assert (rc, out.decode()) == main_quiet(argv)[:2]
+    assert rc == 0 and out
+    assert HEAVY & loaded == ({"numpy"} if command == "simulate" else set())
+
+
+_SWAPPED = """
+import sys
+from distsec import cli
+from distsec.encoders import greedy_code
+seen = []
+def traced(alphabet, k):
+    seen.append(k)
+    return greedy_code(alphabet, k)
+cli.greedy_code = traced
+rc = cli.main(["encode", "--alg", "greedy", "--values", "1..4", "--k", "1"])
+print(rc, seen, cli.greedy_code is traced, file=sys.stderr)
+"""
+
+
+def test_a_name_set_on_the_cli_before_main_is_the_one_its_handler_calls():
+    # The traced bench run wraps library names on the CLI module; loading a
+    # subcommand's layers must not put the plain functions back.
+    done = subprocess.run(
+        [sys.executable, "-c", _SWAPPED], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.stderr == "0 [1] True\n"
+    assert json.loads(done.stdout) == code_to_dict(greedy_code(QUAD, 1))
 
 
 def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_path):
@@ -733,21 +794,34 @@ def test_cli_binds_every_name_the_traced_bench_run_swaps():
     assert callable(JointSystem.state_count)
 
 
-def test_package_exports_exactly_what_it_imports():
-    # Every name in __all__ resolves, and every public name __init__ pulls in
-    # is listed there: nothing is exported by accident or left dangling.
+def test_package_exports_exactly_what_its_table_names():
+    # __init__ imports no submodule: each public name is looked up, on first
+    # use, in the module its _EXPORTS entry names.  Every name in __all__
+    # resolves to its owner's object, and nothing else is exported by
+    # accident or left dangling.
     init = Path(distsec.__file__)
-    imported = {
-        alias.asname or alias.name
+    table = next(
+        node.value
         for node in ast.parse(init.read_text()).body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not alias.name.startswith("_")
-    }
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_EXPORTS"
+    )
+    # A key repeated in the literal would silently replace the first entry.
+    keys = [ast.literal_eval(key) for key in table.keys]
+    assert len(keys) == len(set(keys))
     assert len(distsec.__all__) == len(set(distsec.__all__))
-    assert set(distsec.__all__) == imported
-    for name in distsec.__all__:
-        assert getattr(distsec, name) is not None, name
+    assert keys == list(distsec._EXPORTS) == distsec.__all__
+    for name, module in distsec._EXPORTS.items():
+        owner = importlib.import_module(f"distsec.{module}")
+        assert getattr(distsec, name) is getattr(owner, name), name
+    assert set(distsec.__all__) <= set(dir(distsec))
+    bound = {
+        name
+        for name, value in vars(distsec).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert bound <= set(distsec.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        distsec.no_such_name
 
 
 # --- exit code and message for every kind of malformed input ------------------

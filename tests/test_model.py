@@ -48,6 +48,28 @@ def test_uniform_detection_is_exact():
     # 0.25 is exactly 1/4 in binary; 1/3 as a float is not exactly 1/3.
     assert make_alphabet([1, 2, 3, 4], [0.25] * 4).is_uniform()
     assert not make_alphabet([1, 2, 3], [1 / 3] * 3).is_uniform()
+    # Entries equal in value count alike whatever their type or identity.
+    assert make_alphabet([1, 2, 3, 4], [Fraction(1, 4), 0.25, Fraction(2, 8), 0.25]).is_uniform()
+    assert make_alphabet([7], [1]).is_uniform()
+    assert not make_alphabet([1, 2, 3, 4], [0.25, 0.25, 0.3, 0.2]).is_uniform()
+    assert not make_alphabet([1, 2, 3], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]).is_uniform()
+
+
+def test_inputs_are_normalised_whatever_their_numeric_type():
+    class Count(int):
+        pass
+
+    a = make_alphabet([Count(3), np.int64(2), np.float64(0.5), Fraction(1, 3), 1.5])
+    assert [type(v) for v in a.values] == [int, int, float, float, Fraction]
+    for bad, error, message in (
+        (True, TypeError, "value must be a real number, got bool"),
+        ("1", TypeError, "value must be a real number, got str"),
+        (float("nan"), ValueError, "value must be finite, got nan"),
+        (np.float64("inf"), ValueError, "value must be finite, got inf"),
+    ):
+        with pytest.raises(error) as info:
+            make_alphabet([1, bad])
+        assert str(info.value) == message
 
 
 def test_exactness_flag():
