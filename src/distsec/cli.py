@@ -19,10 +19,12 @@ from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError
 
 # The library names the handlers call, by module.  Parsing needs none of
 # them, so none is imported up front: before a handler runs, ``main`` binds
-# the names of the modules its subcommand calls (``layers`` in
-# ``build_parser``), and any other access loads a name on first use
-# (``__getattr__``).  A name already set on this module, say by a tracer that
-# wraps it, is left as it is.
+# the names of the modules its subcommand lists (``layers`` in
+# ``build_parser``), and each sweep pool worker binds the same list when it
+# starts.  A handler may call only names from its subcommand's layers: a
+# global lookup inside this module does not reach ``__getattr__``, which
+# serves attribute access from outside (``getattr(cli, name)``) only.  A name
+# already set on this module, say by a tracer that wraps it, is left as it is.
 _LIBRARY = {
     "analysis": ("bound_report", "decay_bounds"),
     "encoders": ("complete_key_assignment", "exchange_binning", "greedy_code", "identity_code"),
@@ -49,6 +51,14 @@ def _bind(module: str) -> None:
     lib = import_module(f".{module}", __package__)
     for name in _LIBRARY[module]:
         globals().setdefault(name, getattr(lib, name))
+
+
+def _bind_layers(layers) -> None:
+    """Bind the names of each module in ``layers``.  Also a pool worker's
+    initializer: a worker started by spawn or forkserver imports this module
+    afresh, with no layer bound."""
+    for module in layers:
+        _bind(module)
 
 
 def __getattr__(name):
@@ -483,7 +493,7 @@ def _cmd_sweep(args) -> int:
 
     # Rows use the alphabet as loaded; a rebuilt one could change arithmetic
     # domain (a float pmf equal to 1/m would come back exact).  Its id is
-    # hashed once, here, before any worker forks.
+    # hashed once, here, before any worker starts.
     row_id = _content_id(alphabet_to_dict(alphabet))
     specs = []
     for k in args.k:
@@ -497,7 +507,8 @@ def _cmd_sweep(args) -> int:
     work = sum(alphabet.m * 2 ** (0 if alg == "identity" else k) for _, _, k, alg, _ in specs)
     if workers > 1 and work >= POOL_BREAK_EVEN:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_bind_layers,
+                                 initargs=(args.layers,)) as pool:
             rows = list(pool.map(_sweep_row, specs))
     else:
         rows = [_sweep_row(spec) for spec in specs]
@@ -583,8 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        for module in args.layers:
-            _bind(module)
+        _bind_layers(args.layers)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

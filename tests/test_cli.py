@@ -14,6 +14,7 @@ import dataclasses
 import importlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -282,12 +283,14 @@ def test_sweep_jobs_flag_is_equivalent(capsys, tmp_path, monkeypatch):
 
 def test_sweep_pool_is_bounded_by_rows_and_cpus(capsys, tmp_path, monkeypatch):
     # A pool starts all its workers at once; --jobs 100000 must not ask for
-    # 100000 of them.  The stand-in records the size and maps serially.
+    # 100000 of them.  The stand-in records the size, runs the worker
+    # initializer once and maps serially.
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -436,6 +439,32 @@ def test_each_subcommand_runs_alone_in_a_fresh_interpreter(tmp_path, command):
     assert (rc, out.decode()) == main_quiet(argv)[:2]
     assert rc == 0 and out
     assert HEAVY & loaded == ({"numpy"} if command == "simulate" else set())
+
+
+_POOLED = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+from distsec import cli
+cli.POOL_BREAK_EVEN = 0
+rc = cli.main(sys.argv[2:])
+print(rc, "concurrent.futures" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
+                                    if m in multiprocessing.get_all_start_methods()])
+def test_a_pooled_sweep_runs_under_every_start_method(method):
+    # A spawned or forkserver worker imports the CLI afresh, with none of the
+    # layers main bound in the parent; it must bind them itself.  fork, the
+    # Linux default before Python 3.14, copies the parent's and hides this.
+    argv = "sweep --values 1..5 --k 0..2 --alg greedy,exchange,identity".split()
+    done = subprocess.run(
+        [sys.executable, "-c", _POOLED, method, *argv, "--jobs", "2"],
+        capture_output=True, timeout=120, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    pooled = (os.cpu_count() or 1) > 1
+    assert done.stderr.decode() == f"0 {pooled}\n"
+    assert done.stdout.decode() == main_quiet(argv + ["--jobs", "1"])[1]
 
 
 _SWAPPED = """
