@@ -6,25 +6,59 @@ tuple), and averages the squared error.  The empirical figure must sit
 within sampling error of the analytic achievable distortion; the acceptance
 suite checks four standard errors.
 
-RNG: NumPy's PCG64 via ``default_rng``, a named 64-bit generator with a
-published reference implementation.  Trials are split into fixed blocks of
-16384; block s is seeded with the pair (seed, s), and block sums are merged
-with compensated summation (math.fsum).  The block layout is independent of
-any worker count, so a seed fixes the report bit for bit.
+Cells.  A source's cell is a (key, value) pair, of probability
+pmf[x] / 2**k; cells of probability zero are left out.  Consecutive sources
+fold into one table of joint cells while it holds at most FOLD_CELLS cells.
+Each joint cell carries, per term, the product of its sources' function
+factors and of their posterior means, so a trial is a few lookups; with a
+single table it is one lookup of the cell's precomputed squared error.
+
+Draws.  Only ``random.Random(...).random()`` is used: Python keeps its
+sequence for a seed the same in every release.  Trials are split into
+fixed blocks of 16384, and block s draws from ``Random(seed << 32 | s)``.
+A table draws its cell as one independent draw per group: consecutive
+sources join a group while all its cell probabilities stay whole
+multiples of 1 / B for some B <= FOLD_CELLS, and a source that cannot
+join starts the next group.  Trial i of a block takes numbers
+i*G ... i*G + G - 1 for the G groups of the system, in source order, and
+a group maps its number u by inverse CDF over its cells, joint cells
+x major:
+
+- all n cells equally likely: cell int(u * n);
+- probabilities p_j whole multiples of 1 / B, B <= FOLD_CELLS: the cell
+  that owns bucket int(u * B), cell j owning p_j * B buckets in order;
+- otherwise the first cell whose cumulative probability, rounded to a
+  float, exceeds u; the last one is exactly 1, so u never passes the last
+  cell, which is where ``random.choices`` clamps.
+
+Block sums are plain sums, merged across blocks with compensated summation
+(math.fsum).  The block layout is independent of any worker count, so a
+seed fixes the report bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect
 from dataclasses import dataclass
+from functools import partial, reduce
+from itertools import accumulate, chain, islice, repeat, starmap
+from operator import add, mul, sub
+from random import Random
 
-from .analysis import _BinMoments
-from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet
+from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, integer_view
 from .multisource import JointSystem, _compose, product_function
 
 STREAM_TRIALS = 1 << 14
-# About 20 s of sampling for one source at some 5e6 trials/s; a typo in
-# --trials beyond it would cost hours.
+# The most cells a table folds and the most buckets a group's lookup holds.
+# A table's cells are built once and kept, and each source folded in saves
+# lookups per trial; 2**16 folds the composed bench systems of up to 36864
+# cells into one table in a few megabytes.
+FOLD_CELLS = 1 << 16
+# About 26 s of sampling for a small source and 80 s for a four-source
+# product of 786432 joint states; a typo in --trials beyond it would cost
+# hours.
 MAX_TRIALS = 10**8
 
 
@@ -65,13 +99,130 @@ def _stream_sizes(trials: int) -> list[int]:
     return [STREAM_TRIALS] * full + ([rest] if rest else [])
 
 
-def _estimates(moments: _BinMoments) -> np.ndarray:
-    """Posterior mean per bin as floats, NaN for bins never observed."""
-    import numpy as np
+def _outer(xs, ys) -> list:
+    """x * y for every pair, x major: a column of two folded tables."""
+    return [x * y for x in xs for y in ys]
 
-    return np.array(
-        [float(mu) if mu is not None else np.nan for mu in moments.posterior_means()]
+
+def _source(alphabet: SourceAlphabet, code: KeyedCode, factors, means):
+    """A source's cells of positive probability, key major.
+
+    Returns the cells' group, (integer weights proportional to their
+    probabilities, B) with every probability a whole multiple of 1 / B, and
+    per term the cells' function factors and posterior-mean factors.
+    """
+    nums, _ = integer_view(alphabet.pmf)
+    cells = [(x, g) for row in code.assignment for x, g in enumerate(row) if nums[x]]
+    weights = [nums[x] for x, _ in cells]
+    return (
+        (weights, sum(weights) // math.gcd(*weights)),
+        [[float(t[x]) for x, _ in cells] for t in factors],
+        [[math.nan if mu[g] is None else float(mu[g]) for _, g in cells] for mu in means],
     )
+
+
+def _drawer(weights, buckets):
+    """uniforms -> the cells they draw by inverse CDF, lazily."""
+    n = len(weights)
+    scale = float(buckets)
+    if buckets == n:
+        return lambda us: map(math.floor, map(mul, us, repeat(scale)))
+    if buckets <= FOLD_CELLS:
+        unit = math.gcd(*weights)
+        owner = list(chain.from_iterable(map(repeat, range(n), [w // unit for w in weights])))
+        return lambda us: map(owner.__getitem__, map(math.floor, map(mul, us, repeat(scale))))
+    # Cumulative probabilities, each rounded once; the last is exactly 1,
+    # above every u, so no draw passes the last cell.
+    total = sum(weights)
+    cum = [c / total for c in accumulate(weights)]
+    return lambda us: map(bisect, repeat(cum), us)
+
+
+class _Table:
+    """Consecutive sources folded into one table of joint cells, x major.
+
+    ``f[l]`` and ``est[l]`` list term l's function factor and posterior-mean
+    factor over the table's sources, per cell.  ``groups`` are the runs of
+    sources that draw together (see the module notes), each as its
+    (weights, B).
+    """
+
+    def __init__(self, group, f, est):
+        self.size = len(group[0])
+        self.groups, self.f, self.est = [group], f, est
+
+    def fold(self, group, f, est) -> None:
+        self.size *= len(group[0])
+        self.f = list(map(_outer, self.f, f))
+        self.est = list(map(_outer, self.est, est))
+        weights, buckets = self.groups[-1]
+        if buckets * group[1] <= FOLD_CELLS:
+            self.groups[-1] = (_outer(weights, group[0]), buckets * group[1])
+        else:
+            self.groups.append(group)
+
+    def picker(self, column=None):
+        """(uniforms per group) -> ``column`` at the drawn cells (the cells
+        themselves when ``column`` is None), lazily."""
+        draws = [_drawer(*g) for g in self.groups]
+        strides, stride = [], self.size
+        for weights, _ in self.groups:
+            stride //= len(weights)
+            strides.append(stride)
+
+        def pick(uss):
+            cells = reduce(partial(map, add), (
+                map(mul, draw(us), repeat(stride)) if stride > 1 else draw(us)
+                for draw, us, stride in zip(draws, uss, strides)
+            ))
+            return cells if column is None else map(column.__getitem__, cells)
+
+        return pick
+
+
+def _tables(system: JointSystem) -> tuple[Scalar, list[_Table]]:
+    """The analytic achievable distortion and the system's tables."""
+    comp = _compose(system)
+    terms = system.function.components
+    tables = []
+    for i, (alphabet, code) in enumerate(zip(system.sources, system.codes)):
+        group, f, est = _source(
+            alphabet,
+            code,
+            [term[i] for term in terms],
+            [row[i].posterior_means() for row in comp.moments],
+        )
+        if tables and tables[-1].size * len(group[0]) <= FOLD_CELLS:
+            tables[-1].fold(group, f, est)
+        else:
+            tables.append(_Table(group, f, est))
+    return comp.d_max - comp.delta, tables
+
+
+def _errors(tables: list[_Table]):
+    """(uniforms per group) -> the trials' squared errors."""
+    if len(tables) == 1:
+        (t,) = tables
+        e = map(sub, reduce(partial(map, add), t.f), reduce(partial(map, add), t.est))
+        pick = t.picker(array("d", [x * x for x in e]))
+        return lambda uss: list(pick(uss))
+
+    picks = [(t.picker(), len(t.groups)) for t in tables]
+    f_terms = list(zip(*(t.f for t in tables)))
+    est_terms = list(zip(*(t.est for t in tables)))
+
+    def product(columns, cells):
+        return reduce(partial(map, mul), map(map, [c.__getitem__ for c in columns], cells))
+
+    def errors(uss):
+        uss = iter(uss)
+        cells = [list(pick(list(islice(uss, k)))) for pick, k in picks]
+        f = reduce(partial(map, add), (product(cols, cells) for cols in f_terms))
+        est = reduce(partial(map, add), (product(cols, cells) for cols in est_terms))
+        e = list(map(sub, f, est))
+        return list(map(mul, e, e))
+
+    return errors
 
 
 def simulate(config: SimConfig) -> SimReport:
@@ -88,42 +239,27 @@ def simulate(config: SimConfig) -> SimReport:
     errors divided by sqrt(trials); with her estimator fixed to the analytic
     posterior mean, the empirical mean is unbiased for the analytic value.
     """
-    import numpy as np  # on use: it is most of the package's import time
-
     system = config.target
     if not isinstance(system, JointSystem):
         code, alphabet = system
         if code.m != alphabet.m:
             raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
         system = JointSystem((alphabet,), (code,), product_function([alphabet.values]))
-    comp = _compose(system)
-    analytic = comp.d_max - comp.delta
-    estimates = [[_estimates(mom) for mom in row] for row in comp.moments]
-    pmfs = [np.array([float(p) for p in a.pmf]) for a in system.sources]
-    pmfs = [p / p.sum() for p in pmfs]
-    tables = [np.array(code.assignment) for code in system.codes]
-    factors = [
-        [np.array([float(t) for t in term[i]]) for i in range(system.n)]
-        for term in system.function.components
-    ]
+    analytic, tables = _tables(system)
+    groups = sum(len(t.groups) for t in tables)
+    errors = _errors(tables)
+    del tables  # the per-term columns: only what ``errors`` reads stays
 
-    sums, squares = [], []
+    sums, sums_sq = [], []
     for s, size in enumerate(_stream_sizes(config.trials)):
-        rng = np.random.default_rng([config.seed, s])
-        draws, bins = [], []
-        for i, (alpha, code) in enumerate(zip(system.sources, system.codes)):
-            vals = rng.choice(alpha.m, size=size, p=pmfs[i])
-            keys = rng.integers(0, code.key_count, size=size)
-            draws.append(vals)
-            bins.append(tables[i][keys, vals])
-        f = sum(math.prod(t[x] for t, x in zip(term, draws)) for term in factors)
-        guess = sum(math.prod(e[g] for e, g in zip(row, bins)) for row in estimates)
-        err = (f - guess) ** 2
-        sums.append(float(err.sum()))
-        squares.append(float((err * err).sum()))
+        draw = Random(config.seed << 32 | s).random
+        us = list(starmap(draw, repeat((), size * groups)))
+        err = errors([us[g::groups] for g in range(groups)])
+        sums.append(sum(err))
+        sums_sq.append(sum(map(mul, err, err)))
     n = config.trials
     s1 = math.fsum(sums)
-    s2 = math.fsum(squares)
+    s2 = math.fsum(sums_sq)
     empirical = s1 / n
     var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
     return SimReport(

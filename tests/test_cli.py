@@ -352,8 +352,7 @@ def run_fresh(*argv):
 
 
 def test_start_up_loads_only_what_the_subcommand_runs():
-    # numpy is most of the package's import time and only the sampler uses
-    # it; the pool is only for sweep --jobs.
+    # The package imports no numpy; the pool is only for sweep --jobs.
     # pytest has already imported both, so only a fresh interpreter shows
     # this.  One run of each subcommand is in
     # test_each_subcommand_runs_alone_in_a_fresh_interpreter.
@@ -432,13 +431,13 @@ _ONE_RUN = {
 def test_each_subcommand_runs_alone_in_a_fresh_interpreter(tmp_path, command):
     # A handler that calls a layer its subcommand does not load would fail
     # with a NameError (exit 1) in a fresh run only: in process, earlier
-    # tests have loaded every layer.  Only the sampler loads numpy.
+    # tests have loaded every layer.  No subcommand loads numpy.
     _write_system(tmp_path)
     argv = _ONE_RUN[command].format(tmp=tmp_path).split()
     rc, out, loaded = run_fresh(*argv)
     assert (rc, out.decode()) == main_quiet(argv)[:2]
     assert rc == 0 and out
-    assert HEAVY & loaded == ({"numpy"} if command == "simulate" else set())
+    assert HEAVY & loaded == set()
 
 
 _POOLED = """

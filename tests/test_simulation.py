@@ -1,21 +1,33 @@
 """Monte Carlo harness: reproducibility and agreement with the analysis."""
 
+import json
+import math
+import os
+import random
+import subprocess
+import sys
+from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import distsec
 from distsec import (
     CapExceededError,
     JointSystem,
+    SeparableFunction,
     SimConfig,
     bound_report,
+    code_to_dict,
     greedy_code,
     identity_code,
     make_alphabet,
+    product_function,
     simulate,
     sum_function,
 )
-from distsec.simulation import MAX_TRIALS, STREAM_TRIALS
+from distsec.simulation import FOLD_CELLS, MAX_TRIALS, STREAM_TRIALS, _tables
 
 QUAD = make_alphabet([1, 2, 3, 4])
 
@@ -56,8 +68,154 @@ def test_pinned_stream_regression():
     # reproducibility broke
     report = simulate(SimConfig(trials=20_000, seed=3, target=(greedy_code(QUAD, 1), QUAD)))
     assert report.analytic_dach == Fraction(5, 4)
-    assert report.empirical_dach == 1.2506999999999999
-    assert report.stderr == 0.0070712428627350355
+    assert report.empirical_dach == 1.2429
+    assert report.stderr == 0.0070710663622239435
+
+
+EIGHT = make_alphabet(range(1, 9))
+SKEWED = make_alphabet(range(1, 9), [Fraction(1, 16)] * 4 + [Fraction(3, 16)] * 4)
+FLOAT_PMF = make_alphabet([0.5, 1.5, 2.5], [0.2, 0.3, 0.5])
+
+
+def _two_groups():
+    # One table of 3072 cells, drawn as two groups: the float pmf has no
+    # bucket count within FOLD_CELLS.
+    function = SeparableFunction(n=3, components=(
+        ((1,) * 8, (0, 1, 2, 3), (1.0, 2.0, 3.0)),
+        (tuple(range(8)), (1,) * 4, (0.5, 0.5, 1.5)),
+    ))
+    b = make_alphabet([-2, 1, 3, 5], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)])
+    return JointSystem(sources=(EIGHT, b, FLOAT_PMF),
+                       codes=(greedy_code(EIGHT, 3), greedy_code(b, 2), identity_code(3)),
+                       function=function)
+
+
+def _two_tables():
+    # 64 * 64 * 32 cells exceed FOLD_CELLS: a table of 4096 and one of 32.
+    return JointSystem(
+        sources=(EIGHT, SKEWED, EIGHT),
+        codes=(greedy_code(EIGHT, 3), greedy_code(SKEWED, 3), greedy_code(EIGHT, 2)),
+        function=product_function([range(1, 9), range(1, 9), [1, 1, 1, 1, 2, 2, 2, 2]]),
+    )
+
+
+def test_pinned_composed_stream_regression():
+    # The composed sampler, pinned on a table drawn in two groups and on a
+    # system split into two tables.
+    _, tables = _tables(_two_groups())
+    assert [(t.size, [len(w) for w, _ in t.groups]) for t in tables] == [(3072, [1024, 3])]
+    report = simulate(SimConfig(trials=40_000, seed=21, target=_two_groups()))
+    assert report.analytic_dach == 7.074739583333335
+    assert report.empirical_dach == 7.021375888888859
+    assert report.stderr == 0.07481154262094836
+
+    _, tables = _tables(_two_tables())
+    assert [(t.size, len(t.groups)) for t in tables] == [(4096, 1), (32, 1)]
+    assert 4096 * 32 > FOLD_CELLS
+    report = simulate(SimConfig(trials=40_000, seed=22, target=_two_tables()))
+    assert report.analytic_dach == Fraction(122751, 256)
+    assert report.empirical_dach == 478.15165390625
+    assert report.stderr == 6.356645443513959
+
+
+_WITHOUT_NUMPY = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+from distsec.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_simulate_runs_without_numpy(tmp_path):
+    # The child interpreter cannot import numpy at all; its CSV is pinned.
+    (tmp_path / "code.json").write_text(json.dumps(code_to_dict(greedy_code(QUAD, 1))))
+    vals, ones = [4, 3, 2, 1], [1, 1, 1, 1]
+    (tmp_path / "system.json").write_text(json.dumps({
+        "version": 1,
+        "sources": [{"values": vals}, {"values": vals, "pmf": ["1/2", "1/4", "1/8", "1/8"]}],
+        "codes": ["code.json", "code.json"],
+        "function": {"form": "pure-sum", "components": [[vals, ones], [ones, vals]]},
+    }))
+    env = dict(os.environ, PYTHONPATH=str(Path(distsec.__file__).resolve().parents[1]))
+    outputs = []
+    for argv in (["--code", "code.json", "--values", "1..4"], ["--system", "system.json"]):
+        done = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_NUMPY, "simulate", *argv,
+             "--trials", "20000", "--seed", "3"],
+            capture_output=True, timeout=60, cwd=tmp_path, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.decode().splitlines()[1])
+    assert outputs == [
+        "20000,3,1.25,1.2428999999999999,0.0070710663622239435",
+        "20000,3,2.2333333333333334,2.2267853333332472,0.021450430827339141",
+    ]
+
+
+def _cell_probabilities(alphabet, code):
+    """pmf[x] / 2**k per cell of positive probability, key major."""
+    return [p / code.key_count for row in code.assignment
+            for p, _ in zip(alphabet.pmf, row) if p]
+
+
+def _frequencies_match(cells, probabilities, draws):
+    counts = Counter(cells)
+    assert set(counts) <= set(range(len(probabilities)))
+    for c, p in enumerate(probabilities):
+        se = math.sqrt(draws * p * (1 - p))
+        assert abs(counts[c] - draws * p) <= 5 * se, (c, counts[c], draws * p)
+
+
+def _draw_cells(system, draws, seed):
+    (table,) = _tables(system)[1]
+    rng = random.Random(seed)
+    pick = table.picker()
+    return list(pick([[rng.random() for _ in range(draws)] for _ in table.groups]))
+
+
+@pytest.mark.parametrize("alphabet", [SKEWED, FLOAT_PMF], ids=["lookup", "bisect"])
+def test_cell_frequencies_follow_the_pmf(alphabet):
+    code = greedy_code(alphabet, 1)
+    system = JointSystem((alphabet,), (code,), product_function([alphabet.values]))
+    draws = 100_000
+    probabilities = _cell_probabilities(alphabet, code)
+    _frequencies_match(_draw_cells(system, draws, 5), probabilities, draws)
+
+
+@pytest.mark.parametrize("second", [SKEWED, FLOAT_PMF], ids=["one-group", "two-groups"])
+def test_folded_cell_frequencies_are_products_of_marginals(second):
+    a = make_alphabet([1, 2, 3], [Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)])
+    codes = (greedy_code(a, 1), greedy_code(second, 1))
+    system = JointSystem((a, second), codes, product_function([a.values, second.values]))
+    (table,) = _tables(system)[1]
+    assert len(table.groups) == (1 if second is SKEWED else 2)
+    first = _cell_probabilities(a, codes[0])
+    other = _cell_probabilities(second, codes[1])
+    joint = [p * q for p in first for q in other]
+    draws = 100_000
+    _frequencies_match(_draw_cells(system, draws, 6), joint, draws)
+
+
+@pytest.mark.parametrize("pmf", [
+    [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4), 0],
+    [0.5, 0, 0.3, 0.2],
+    [0.2, 0.3, 0.5, 0.0],
+], ids=["exact-last-zero", "float-middle-zero", "float-last-zero"])
+def test_zero_probability_values_are_never_drawn(pmf):
+    # The pmf follows the values 4, 3, 2, 1.  A zero-probability value's bin
+    # may have no posterior mean; none of its cells is in the table, so the
+    # clamp to the last cell lands on a drawable one.
+    alphabet = make_alphabet([4, 3, 2, 1], pmf)
+    code = greedy_code(alphabet, 1)
+    system = JointSystem((alphabet,), (code,), product_function([alphabet.values]))
+    (table,) = _tables(system)[1]
+    cells = len(_cell_probabilities(alphabet, code))
+    assert table.size == cells == 2 * 3
+    # The extremes of random(): the first cell and the last drawable one.
+    assert list(table.picker()([[0.0, 1 - 2**-53]])) == [0, cells - 1]
+    report = simulate(SimConfig(trials=50_000, seed=7, target=(code, alphabet)))
+    assert math.isfinite(report.empirical_dach) and math.isfinite(report.stderr)
+    assert abs(report.empirical_dach - float(report.analytic_dach)) <= 4 * report.stderr + 1e-12
 
 
 def test_float_analytic_figure_is_the_reports_achievable_distortion():
