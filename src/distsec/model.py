@@ -178,22 +178,31 @@ class KeyedCode:
         rows = len(self.assignment)
         if self.k >= rows.bit_length() or rows != self.key_count:
             raise ValueError(f"expected 2**{self.k} key rows, got {rows}")
+        # One pass per row over plain ints; the entry-by-entry scan runs only
+        # where that fails, to name the first bad entry (or to pass a row of
+        # int subclasses, which the pass does not take).
         for key, row in enumerate(self.assignment):
-            if len(row) != self.m:
-                raise ValueError(
-                    f"key {key}: expected {self.m} entries, got {len(row)}"
-                )
-            seen = set()
-            for v, b in enumerate(row):
-                if not isinstance(b, int) or isinstance(b, bool):
-                    raise ValueError(f"key {key}, value {v}: bin index must be int")
-                if not 0 <= b < self.r:
-                    raise ValueError(
-                        f"key {key}, value {v}: bin {b} outside [0, {self.r})"
-                    )
-                if b in seen:
-                    raise ValueError(f"key {key}: bin {b} used twice (not injective)")
-                seen.add(b)
+            if not (
+                len(row) == self.m
+                and set(map(type, row)) == {int}
+                and len(set(row)) == self.m
+                and 0 <= min(row)
+                and max(row) < self.r
+            ):
+                self._scan(key, row)
+
+    def _scan(self, key: int, row) -> None:
+        if len(row) != self.m:
+            raise ValueError(f"key {key}: expected {self.m} entries, got {len(row)}")
+        seen = set()
+        for v, b in enumerate(row):
+            if not isinstance(b, int) or isinstance(b, bool):
+                raise ValueError(f"key {key}, value {v}: bin index must be int")
+            if not 0 <= b < self.r:
+                raise ValueError(f"key {key}, value {v}: bin {b} outside [0, {self.r})")
+            if b in seen:
+                raise ValueError(f"key {key}: bin {b} used twice (not injective)")
+            seen.add(b)
 
     @property
     def key_count(self) -> int:
@@ -267,14 +276,16 @@ def code_from_dict(doc: dict) -> KeyedCode:
         isinstance(row, list) for row in assignment
     ):
         raise ValueError("assignment must be a list of per-key rows")
-    return KeyedCode(
-        m=_json_int(doc["m"], "m"),
-        k=_json_int(doc["k"], "k"),
-        r=_json_int(doc["r"], "r"),
-        assignment=tuple(
-            tuple(_json_int(b, "bin index") for b in row) for row in assignment
-        ),
-    )
+    m, k, r = (_json_int(doc[f], f) for f in ("m", "k", "r"))
+    try:
+        return KeyedCode(m=m, k=k, r=r, assignment=tuple(map(tuple, assignment)))
+    except ValueError:
+        # A bin index that is not a JSON integer is the document's error,
+        # worded as such; any other fault is the code's.
+        for row in assignment:
+            for b in row:
+                _json_int(b, "bin index")
+        raise
 
 
 def alphabet_to_dict(alphabet: SourceAlphabet) -> dict:

@@ -1,5 +1,6 @@
 """Alphabet and code plumbing: ordering, validation, round trips."""
 
+import enum
 from fractions import Fraction
 
 import numpy as np
@@ -156,6 +157,61 @@ def test_code_json_rejects_malformed():
             code_from_dict(doc)
     with pytest.raises(ValueError):
         code_from_dict({"m": 2, "k": 1, "r": 2, "assignment": [[0, 1.5], [1, 0]]})
+
+
+class _Bin(enum.IntEnum):
+    ONE = 1
+
+
+def _scan_reference(m, r, assignment):
+    """The entry-by-entry check, rows in order: the first fault's message,
+    or None for a valid table."""
+    for key, row in enumerate(assignment):
+        if len(row) != m:
+            return f"key {key}: expected {m} entries, got {len(row)}"
+        seen = set()
+        for v, b in enumerate(row):
+            if not isinstance(b, int) or isinstance(b, bool):
+                return f"key {key}, value {v}: bin index must be int"
+            if not 0 <= b < r:
+                return f"key {key}, value {v}: bin {b} outside [0, {r})"
+            if b in seen:
+                return f"key {key}: bin {b} used twice (not injective)"
+            seen.add(b)
+    return None
+
+
+_ENTRY = st.one_of(st.integers(-1, 4), st.sampled_from([True, 1.0, 1.5, "1", _Bin.ONE]))
+
+
+@given(m=st.integers(1, 3), r=st.integers(1, 4),
+       rows=st.lists(st.lists(_ENTRY, min_size=0, max_size=4), min_size=2, max_size=2))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_code_check_names_the_first_fault_an_entry_scan_finds(m, r, rows):
+    # The per-row pass hands a failing row to the entry-by-entry scan, so
+    # the message is the first fault in row and entry order, and a row of
+    # int subclasses (here an IntEnum) passes as it always did.
+    want = _scan_reference(m, r, rows)
+    try:
+        KeyedCode(m=m, k=1, r=r, assignment=tuple(map(tuple, rows)))
+        got = None
+    except ValueError as e:
+        got = str(e)
+    assert got == want
+    # A document's non-integer bin index is worded as the document's fault,
+    # before any fault of the code.
+    doc_rows = [[b.value if isinstance(b, _Bin) else b for b in row] for row in rows]
+    bad = [b for row in doc_rows for b in row if not isinstance(b, int) or isinstance(b, bool)]
+    try:
+        code_from_dict({"m": m, "k": 1, "r": r, "assignment": doc_rows})
+        got = None
+    except ValueError as e:
+        got = str(e)
+    if bad:
+        want = f"bin index must be an integer, got {bad[0]!r}"
+    else:
+        want = _scan_reference(m, r, doc_rows)
+    assert got == want
 
 
 def test_alphabet_json_round_trip_exact():
