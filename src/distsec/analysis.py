@@ -57,7 +57,9 @@ def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     tells her nothing and she falls back to guessing the overall mean."""
     if alphabet.exact:
         return _centre_exact(alphabet.values, alphabet.pmf)[5]
-    return _centre(alphabet.values, alphabet.pmf)[2]
+    # In floats throughout, as the moment pass works: an int value times a
+    # Fraction pmf entry would stay exact and round apart from the rest.
+    return _centre([float(v) for v in alphabet.values], [float(p) for p in alphabet.pmf])[2]
 
 
 @dataclass(frozen=True)

@@ -111,6 +111,17 @@ def test_total_variance_splits_into_advantage_plus_loss(data):
     assert max_distortion(a) == delta_closed_form(code, a) + achievable_distortion(code, a)
 
 
+def test_float_max_distortion_is_the_reports_d_max():
+    # Floats beside ints, under the default Fraction pmf: the ints' terms
+    # used to stay exact and round apart, 4589.367078993054 against the
+    # report's 4589.367078993056.
+    values = [156.75, 66.5, 76, 89.75, 197, 233, 233, 108.75, 194.5, 76, 233, 108.75,
+              39.75, 194.5, 109, 108.75, 109, 233, 156.75, 39.75, 197, 233, 194.5, 39.75]
+    a = make_alphabet(values)
+    assert not a.exact
+    assert max_distortion(a) == bound_report(identity_code(24), a).d_max == 4589.367078993056
+
+
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_moment_kernel_matches_oracle(data):
