@@ -124,18 +124,22 @@ def _source(alphabet: SourceAlphabet, code: KeyedCode, factors, means):
 def _drawer(weights, buckets):
     """uniforms -> the cells they draw by inverse CDF, lazily."""
     n = len(weights)
+    if buckets > FOLD_CELLS and buckets != n:
+        # Cumulative probabilities, each rounded once; the last is exactly
+        # 1, above every u, so no draw passes the last cell.
+        total = sum(weights)
+        cum = [c / total for c in accumulate(weights)]
+        return lambda us: map(bisect, repeat(cum), us)
     scale = float(buckets)
+
+    def buckets_of(us):
+        return map(math.floor, map(mul, us, repeat(scale)))
+
     if buckets == n:
-        return lambda us: map(math.floor, map(mul, us, repeat(scale)))
-    if buckets <= FOLD_CELLS:
-        unit = math.gcd(*weights)
-        owner = list(chain.from_iterable(map(repeat, range(n), [w // unit for w in weights])))
-        return lambda us: map(owner.__getitem__, map(math.floor, map(mul, us, repeat(scale))))
-    # Cumulative probabilities, each rounded once; the last is exactly 1,
-    # above every u, so no draw passes the last cell.
-    total = sum(weights)
-    cum = [c / total for c in accumulate(weights)]
-    return lambda us: map(bisect, repeat(cum), us)
+        return buckets_of
+    unit = math.gcd(*weights)
+    owner = list(chain.from_iterable(map(repeat, range(n), [w // unit for w in weights])))
+    return lambda us: map(owner.__getitem__, buckets_of(us))
 
 
 class _Table:

@@ -16,6 +16,7 @@ import distsec
 from distsec import (
     CapExceededError,
     JointSystem,
+    KeyedCode,
     SeparableFunction,
     SimConfig,
     bound_report,
@@ -296,3 +297,13 @@ def test_joint_simulation_reproducible():
     )
     config = SimConfig(trials=30_000, seed=13, target=system)
     assert simulate(config) == simulate(config)
+
+
+def test_a_pmf_entry_at_the_bottom_of_the_float_range_is_harmless():
+    # 5e-324 / 2 underflows, so bins 0 and 2 have no posterior mean, and the
+    # pmf's common denominator overflows a float; the value's cells are
+    # kept, but their cumulative probability rounds to 0 and is never drawn.
+    a = make_alphabet([1.0, 2.0], [1.0, 5e-324])
+    code = KeyedCode(m=2, k=1, r=4, assignment=((0, 1), (2, 3)))
+    report = simulate(SimConfig(trials=1_000, seed=1, target=(code, a)))
+    assert (report.empirical_dach, report.stderr) == (0.0, 0.0)
