@@ -11,102 +11,103 @@ the overall mean) and that loss is her advantage:
 Every function here reads one set of moments, built by a single pass over
 the code's assignment table: the payoff's variance, and for each bin its
 probability mass and the first moment of the payoff centred on its overall
-mean.  Centring keeps the float path from cancelling large offsets against
-each other.  The exact path puts the pmf and the payoff over common
-denominators first, so the pass and the verdicts add and compare integers
-and a Fraction is formed only for a reported number.  The test suite checks the
-moments against an independent enumeration of every (value, key) pair in
-exact arithmetic.
+mean.  The pass puts the pmf and the payoff over common denominators first,
+for every alphabet (a finite float is a binary rational), so it and the
+verdicts add and compare integers.  A reported number is formed from its
+integers: a Fraction on an exact input; on a float input the nearest
+float, rounded once, or for the advantage rounded once per bin and summed
+exactly.  The test suite checks the moments against an independent
+enumeration of every (value, key) pair in exact arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 
 from .model import KeyedCode, Scalar, SourceAlphabet, integer_view, is_exact
 
 
-def _centre(table, pmf) -> tuple[Scalar, list, Scalar]:
-    """The mean of ``table`` under ``pmf``, the table centred on it, and the
-    variance sum_i p_i c_i^2 of the centred table."""
-    mean = sum(p * t for p, t in zip(pmf, table))
-    centred = [t - mean for t in table]
-    return mean, centred, sum(p * c * c for p, c in zip(pmf, centred))
+def _centre_exact(table, pmf) -> tuple[list[int], int, list[int], int, int, int]:
+    """The pmf and a payoff table centred on its mean, in integers.
 
-
-def _centre_exact(table, pmf) -> tuple[list[int], int, list[int], int, Fraction, Fraction]:
-    """``_centre`` in integers, for an exact table and pmf.
-
-    With the pmf over its common denominator P (numerators b_i) and the
-    table over its own, D (numerators A_i), S = sum_i b_i A_i and the
+    With the pmf's numerators b_i over their sum P and the table over its
+    common denominator D (numerators A_i), S = sum_i b_i A_i and the
     centred numerators C_i = P A_i - S put t_i - mean over PD.  Returns b,
-    P, C, PD, the mean S / PD and the variance sum_i b_i C_i^2 / (P (PD)^2).
+    P, C, PD, S and V = sum_i b_i C_i^2: the mean is S / PD and the
+    variance V / (P (PD)^2).  An exact pmf sums to 1, so P is its common
+    denominator; a float pmf is read as the distribution its numbers hold,
+    normalised by their exact sum.
     """
-    b, p = integer_view(pmf)
+    b, _ = integer_view(pmf)
+    p = sum(b)
     a, d = integer_view(table)
     s = sum(x * y for x, y in zip(b, a))
     c = [p * y - s for y in a]
-    pd = p * d
-    return b, p, c, pd, Fraction(s, pd), Fraction(sum(x * y * y for x, y in zip(b, c)), p * pd * pd)
+    return b, p, c, p * d, s, sum(x * y * y for x, y in zip(b, c))
+
+
+def _ratio(exact: bool, num: int, den: int) -> Scalar:
+    """num / den as a reported number: a Fraction on an exact input, and on
+    a float input the nearest float, since int true division rounds once
+    (OverflowError when it does not fit)."""
+    return Fraction(num, den) if exact else num / den
+
+
+def _limit(exact: bool, tol: float, scale: Scalar) -> Fraction:
+    """A verdict's tolerance, tol * max(1, |scale|) as an exact Fraction;
+    0 on an exact input, where every verdict is an equality."""
+    return Fraction(0) if exact else Fraction(tol * max(1.0, abs(scale)))
 
 
 def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     """Variance of the source value: the eavesdropper's loss when the code
     tells her nothing and she falls back to guessing the overall mean."""
-    if alphabet.exact:
-        return _centre_exact(alphabet.values, alphabet.pmf)[5]
-    # In floats throughout, as the moment pass works: an int value times a
-    # Fraction pmf entry would stay exact and round apart from the rest.
-    return _centre([float(v) for v in alphabet.values], [float(p) for p in alphabet.pmf])[2]
+    _, p, _, pd, _, v = _centre_exact(alphabet.values, alphabet.pmf)
+    return _ratio(alphabet.exact, v, p * pd * pd)
 
 
 @dataclass(frozen=True)
 class _BinMoments:
     """Per-bin moments of a payoff t(X) under a uniformly random key.
 
-    ``mean`` is E[t(X)] and ``var`` is var(t(X)).  ``pmf`` and ``centred``
-    list p_i and t_i - mean per value index i; for bin j, ``m0[j]`` is
-    p(bin j) and ``s1[j]`` is E[(t(X) - mean) 1{bin j}].
+    The pass keeps integer numerators alone.  ``b`` and ``c`` list, per
+    value index i, p_i over P = ``pden`` and t_i - mean over PD = ``cden``
+    (``_centre_exact``); for bin j, ``b0[j]`` is p(bin j) over KP and
+    ``b1[j]`` is E[(t(X) - mean) 1{bin j}] over KP * PD, with K = ``keys``
+    = 2**k.  The mean is ``s`` / PD and the variance ``v`` / (P PD^2).
 
-    The pass keeps those four lists as ``b``, ``c``, ``b0`` and ``b1``.  On
-    floats they are the lists themselves.  On the exact path they are
-    integer numerators: over P, PD, KP and KP * PD, with P = ``pden``, PD =
-    ``cden`` and K = ``keys`` = 2**k, and ``mean`` and ``var`` are
-    Fractions.  The sums and verdicts below read the integers; the four
-    lists are formed as Fractions only when one is read.
+    The sums and verdicts below read the integers.  ``exact`` decides only
+    how a reported number is formed from them (``_ratio``): a Fraction on an
+    exact input, the nearest float on a float input.  ``mean``, ``var`` and
+    the bin masses ``m0`` are formed when first read.
     """
 
     exact: bool
-    mean: Scalar
-    var: Scalar
     b: tuple
     c: tuple
     b0: tuple
     b1: tuple
-    keys: int = 1
-    pden: int = 1
-    cden: int = 1
-
-    def _over(self, nums, den) -> tuple:
-        return tuple(Fraction(x, den) for x in nums) if self.exact else nums
-
-    @cached_property
-    def pmf(self) -> tuple:
-        return self._over(self.b, self.pden)
+    keys: int
+    pden: int
+    cden: int
+    s: int
+    v: int
 
     @cached_property
-    def centred(self) -> tuple:
-        return self._over(self.c, self.cden)
+    def mean(self) -> Scalar:
+        return _ratio(self.exact, self.s, self.cden)
+
+    @cached_property
+    def var(self) -> Scalar:
+        return _ratio(self.exact, self.v, self.pden * self.cden * self.cden)
 
     @cached_property
     def m0(self) -> tuple:
-        return self._over(self.b0, self.keys * self.pden)
-
-    @cached_property
-    def s1(self) -> tuple:
-        return self._over(self.b1, self.keys * self.pden * self.cden)
+        return tuple(_ratio(self.exact, w, self.keys * self.pden) for w in self.b0)
 
     def support(self) -> list[int]:
         return [j for j, w in enumerate(self.b0) if w > 0]
@@ -114,66 +115,63 @@ class _BinMoments:
     def covariance(self, other: _BinMoments) -> Scalar:
         """cov(t(X), u(X)) = sum_i p_i c_i c'_i, for ``other`` the pass of a
         payoff u over the same alphabet."""
-        if self.exact and other.exact:
-            total = sum(x * y * z for x, y, z in zip(self.b, self.c, other.c))
-            return Fraction(total, self.pden * self.cden * other.cden)
-        return sum(p * u * v for p, u, v in zip(self.pmf, self.centred, other.centred))
+        total = sum(x * y * z for x, y, z in zip(self.b, self.c, other.c))
+        return _ratio(self.exact and other.exact, total, self.pden * self.cden * other.cden)
 
     def posterior_covariance(self, other: _BinMoments) -> Scalar:
         """cov(E[t | bin], E[u | bin]) = sum_j s1_j s1'_j / m0_j over
         observable bins, for ``other`` the pass of a payoff u under the same
         code and alphabet.  In integers that is sum_j B1_j B1'_j / B0_j over
-        K P (PD)(PD)'; the bins are grouped by B0_j first, so one Fraction
-        is formed per distinct bin mass."""
+        K P (PD)(PD)'.
+
+        On an exact input the bins are grouped by B0_j first, so one
+        Fraction is formed per distinct bin mass.  On a float input each
+        bin's quotient is rounded once and the quotients are summed exactly
+        (``math.fsum``): one Fraction over many distinct masses would cost
+        time quadratic in their count.
+        """
+        den = self.keys * self.pden * self.cden * other.cden
         if self.exact and other.exact:
             groups: dict[int, int] = {}
             for w, x, y in zip(self.b0, self.b1, other.b1):
                 if w:
                     groups[w] = groups.get(w, 0) + x * y
-            total = sum((Fraction(t, w) for w, t in groups.items()), Fraction(0))
-            return total / (self.keys * self.pden * self.cden * other.cden)
-        s1, t1, m0 = self.s1, other.s1, self.m0
-        return sum(s1[j] * t1[j] / m0[j] for j in self.support())
+            return sum((Fraction(t, w) for w, t in groups.items()), Fraction(0)) / den
+        return math.fsum(x * y / (w * den) for w, x, y in zip(self.b0, self.b1, other.b1) if w)
 
     def advantage(self) -> Scalar:
-        """var(E[t | bin]) = sum_j s1_j^2 / m0_j, capped at ``var``: in the
-        reals it never exceeds it, and on floats the two round differently,
-        so the cap keeps 0 <= advantage <= var.  On the exact path the cap is
-        an identity."""
+        """var(E[t | bin]) = sum_j s1_j^2 / m0_j, capped at ``var``.  In the
+        reals it never exceeds it; on a float input the bins' quotients are
+        rounded apart from the variance, so the cap keeps 0 <= advantage <=
+        var there.  On an exact input the cap is an identity."""
         return min(self.posterior_covariance(self), self.var)
 
     def posterior_means(self) -> tuple[Scalar | None, ...]:
-        if self.exact:
-            # s1_j / m0_j = B1_j / (B0_j PD)
-            return tuple(
-                self.mean + Fraction(x, w * self.cden) if w > 0 else None
-                for w, x in zip(self.b0, self.b1)
-            )
+        """E[t | bin j] = mean + s1_j / m0_j = (S B0_j + B1_j) / (B0_j PD)
+        per bin, None for an unobservable one."""
         return tuple(
-            self.mean + s / w if w > 0 else None for w, s in zip(self.m0, self.s1)
+            _ratio(self.exact, self.s * w + x, w * self.cden) if w else None
+            for w, x in zip(self.b0, self.b1)
         )
 
     def secure(self, tol: float) -> bool:
-        """Every observable bin's posterior mean equals the overall mean:
-        exactly on the exact path, within ``tol`` scaled by max(1, |mean|)
-        on floats."""
-        if self.exact:
-            # B1_j == 0 on every bin; an unobservable bin has B1_j == 0 too.
-            return not any(self.b1)
-        limit = tol * max(1.0, abs(self.mean))
-        return all(abs(self.s1[j] / self.m0[j]) <= limit for j in self.support())
+        """Every observable bin's posterior mean is within ``tol`` scaled by
+        max(1, |mean|) of the overall mean, a limit of 0 on an exact input.
+        Compared in integers: |B1_j| <= limit * B0_j * PD on every bin."""
+        limit = _limit(self.exact, tol, self.mean)
+        n, d = limit.numerator * self.cden, limit.denominator
+        # compress skips the bins with B1_j == 0, which pass at any limit.
+        return all(abs(x) * d <= n * w for w, x in compress(zip(self.b0, self.b1), self.b1))
 
 
 def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinMoments:
-    """One pass over the assignment table, O(m 2**k).
+    """One pass over the assignment table, O(m 2**k), in integers.
 
     ``table[i]`` is the payoff of value index i; None means the value itself.
-    Each (value, key) pair adds the value's weight and its centred first
-    moment to the bin it lands in.  On floats those are p_i / 2**k and
-    p_i c_i / 2**k.  On the exact path they are the integers b_i and
-    b_i C_i of ``_centre_exact``, so the pass adds integers alone: bin j
-    gets B0_j = sum b_i and B1_j = sum b_i C_i over the pairs it receives,
-    and the common denominators stay out of the pass (see ``_BinMoments``).
+    Each (value, key) pair adds the integers b_i and b_i C_i of
+    ``_centre_exact`` to the bin it lands in, so bin j gets B0_j = sum b_i
+    and B1_j = sum b_i C_i over the pairs it receives, and the common
+    denominators stay out of the pass (see ``_BinMoments``).
     """
     if alphabet.m != code.m:
         raise ValueError(f"alphabet has {alphabet.m} values, code expects {code.m}")
@@ -182,26 +180,16 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     elif len(table) != code.m:
         raise ValueError(f"table has {len(table)} entries for {code.m} values")
     exact = alphabet.exact and all(is_exact(t) for t in table)
-    if exact:
-        b, pden, c, cden, mean, var = _centre_exact(table, alphabet.pmf)
-        keys = code.key_count
-        w0, w1 = b, [x * y for x, y in zip(b, c)]
-    else:
-        b = [float(p) for p in alphabet.pmf]
-        mean, c, var = _centre([float(t) for t in table], b)
-        keys = pden = cden = 1
-        w0 = [p / code.key_count for p in b]
-        w1 = [w * x for w, x in zip(w0, c)]
+    b, pden, c, cden, s, v = _centre_exact(table, alphabet.pmf)
+    w1 = [x * y for x, y in zip(b, c)]
     r = code.r
     b0, b1 = [0] * r, [0] * r
-    # Value by value, so a bin's float sums do not depend on the key order.
-    for v, column in enumerate(zip(*code.assignment)):
-        x0, x1 = w0[v], w1[v]
+    for x0, x1, column in zip(b, w1, zip(*code.assignment)):
         for j in column:
             b0[j] += x0
             b1[j] += x1
     return _BinMoments(
-        exact, mean, var, tuple(b), tuple(c), tuple(b0), tuple(b1), keys, pden, cden
+        exact, tuple(b), tuple(c), tuple(b0), tuple(b1), code.key_count, pden, cden, s, v
     )
 
 
@@ -210,8 +198,8 @@ def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
 
     By the law of total variance it is d_max minus the advantage, and it is
     formed that way, with the advantage capped at d_max, so on floats it is
-    never negative and equals ``bound_report``'s d_ach bit for bit.  On the
-    exact path it is the sum over bins of the within-bin variance.
+    never negative and equals ``bound_report``'s d_ach bit for bit.  On
+    exact input it is the sum over bins of the within-bin variance.
     """
     mom = _bin_moments(code, alphabet)
     return mom.var - mom.advantage()
@@ -224,9 +212,10 @@ def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
 
         advantage = sum_j s1_j^2 / m0_j
 
-    over observable bins.  The values are centred on E[Y] before they are
-    summed, so no E[Y]^2 term is subtracted and the float result is never
-    negative.  It is capped at d_max, the variance from the same pass, so
+    over observable bins, summed from the pass's integers.  On a float
+    input each bin's term is rounded once and the terms are added exactly,
+    so the result is never negative and lies within two ulps of the exact
+    value.  It is capped at d_max, the variance from the same pass, so
     0 <= delta <= d_max on floats as on exact input.
     """
     return _bin_moments(code, alphabet).advantage()
@@ -238,8 +227,9 @@ def is_perfectly_secure(
     """True when every observable bin's posterior mean equals E[Y].
 
     Equal posterior means leave the eavesdropper's best estimate identical to
-    her no-observation guess, i.e. advantage zero.  Exact alphabets are
-    compared exactly; float alphabets within ``tol`` scaled by max(1, |E[Y]|).
+    her no-observation guess, i.e. advantage zero.  Float alphabets are
+    allowed ``tol`` scaled by max(1, |E[Y]|), exact alphabets nothing; either
+    way the test is made exactly, on the pass's integers.
     """
     return _bin_moments(code, alphabet).secure(tol)
 
@@ -286,8 +276,8 @@ def bound_report(
     """Summarize max/achievable distortion, advantage, and the decay bounds.
 
     The two decay guarantees are checked with slack ``tol`` relative to their
-    own scale (d_max and spread^2) so the float path does not flag rounding
-    noise; on the exact path the slack is carried as an exact Fraction.
+    own scale (d_max and spread^2) so a float report does not flag
+    rounding noise; on exact input the slack is carried as an exact Fraction.
     """
     mom = _bin_moments(code, alphabet)
     d_max, delta = mom.var, mom.advantage()

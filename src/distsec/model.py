@@ -8,9 +8,10 @@ map exactly; an eavesdropper sees only the bin index.  Everything downstream
 types defined here.
 
 Numbers are kept in whatever domain they arrive in: int and Fraction inputs
-stay exact so that security claims can be asserted as equalities, float
-inputs follow float arithmetic in the analysis.  The constructions and the
-search decide on the exact numbers floats hold (``integer_view``).
+stay exact so that security claims can be asserted as equalities, and float
+inputs are reported as floats.  The analysis, the constructions and the
+search all work on the exact numbers floats hold (``integer_view``), so a
+float result is rounded only when it is reported.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .analysis import DistortionReport, _BinMoments, _bin_moments
+from .analysis import DistortionReport, _BinMoments, _bin_moments, _limit
 from .model import KeyedCode, Scalar, SourceAlphabet
 
 FORMS = ("general-sum-of-products", "pure-sum", "pure-product")
@@ -174,11 +174,10 @@ class _Composition:
     delta: Scalar
 
     def secure(self, tol: float) -> bool:
-        """E[f | G] is constant: delta == 0 on the exact path; on floats its
-        RMS gap sqrt(delta) within ``tol`` scaled by max(1, |E[f]|)."""
-        if self.exact:
-            return self.delta == 0
-        return math.sqrt(max(self.delta, 0)) <= tol * max(1.0, abs(self.mean))
+        """E[f | G] is constant: its RMS gap sqrt(delta) is within ``tol``
+        scaled by max(1, |E[f]|), a limit of 0 on an exact input.  Compared
+        exactly, as delta <= limit^2."""
+        return self.delta <= _limit(self.exact, tol, self.mean) ** 2
 
 
 def _compose(system: JointSystem) -> _Composition:
@@ -240,22 +239,17 @@ def check_sufficiency(system: JointSystem, tol: float = 1e-9) -> bool:
     The check is per component: term l's factor for source i must have equal
     posterior means under code i (constant factors pass trivially).  When it
     holds, the joint advantage computed from the same per-source moments
-    must vanish (exactly, or on floats within ``tol`` scaled by
-    max(1, |d_max|)); a nonzero value would contradict the factorization
+    must vanish: within ``tol`` scaled by max(1, |d_max|), a limit of 0 on
+    an exact input.  A larger value would contradict the factorization
     argument and raises RuntimeError.
     """
     comp = _compose(system)
     ok = all(mom.secure(tol) for row in comp.moments for mom in row)
-    if ok:
-        if comp.exact:
-            breached = comp.delta != 0
-        else:
-            breached = abs(comp.delta) > tol * max(1.0, abs(comp.d_max))
-        if breached:
-            raise RuntimeError(
-                "all components secure but joint advantage is "
-                f"{comp.delta}; factorization invariant violated"
-            )
+    if ok and abs(comp.delta) > _limit(comp.exact, tol, comp.d_max):
+        raise RuntimeError(
+            "all components secure but joint advantage is "
+            f"{comp.delta}; factorization invariant violated"
+        )
     return ok
 
 
@@ -308,13 +302,10 @@ def necessity_witness(
 
     if fn.form == "pure-product":
         for mom in components:
-            if mom.exact:
-                zero = mom.mean == 0 or mom.var == 0
-            else:
-                # a variance is squared: its root is judged as secure() does
-                limit = tol * max(1.0, abs(mom.mean))
-                zero = abs(mom.mean) <= tol or math.sqrt(mom.var) <= limit
-            if zero:
+            # A mean within tol of 0, or a variance whose root is within the
+            # limit secure() judges by; both limits are 0 on an exact input.
+            limit = _limit(mom.exact, tol, mom.mean)
+            if abs(mom.mean) <= _limit(mom.exact, tol, 0) or mom.var <= limit * limit:
                 return WitnessReport(
                     status="not-applicable",
                     observation=None,

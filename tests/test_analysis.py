@@ -69,13 +69,14 @@ def test_int_alphabets_stay_exact():
     assert isinstance(max_distortion(two), Fraction)
     mom = _bin_moments(identity_code(2), two)
     assert all(isinstance(x, Fraction) for x in (mom.mean, mom.var, mom.advantage()))
-    assert all(isinstance(x, Fraction) for x in (*mom.pmf, *mom.centred, *mom.m0, *mom.s1))
-    assert all(isinstance(x, Fraction) for x in mom.posterior_means())
+    assert all(isinstance(x, Fraction) for x in (*mom.m0, *mom.posterior_means()))
+    assert all(isinstance(x, Fraction) for x in (mom.covariance(mom), mom.posterior_covariance(mom)))
     report = bound_report(greedy_code(two, 1), two)
     assert all(isinstance(x, Fraction) for x in (report.d_max, report.d_ach, report.delta))
     # float alphabets stay on floats
     mom = _bin_moments(identity_code(2), make_alphabet([2.0, 1.0]))
-    assert all(isinstance(x, float) for x in (mom.mean, mom.var, *mom.pmf, *mom.centred))
+    assert all(isinstance(x, float) for x in (mom.mean, mom.var, *mom.m0, *mom.posterior_means()))
+    assert all(isinstance(x, float) for x in (mom.covariance(mom), mom.posterior_covariance(mom)))
 
 
 def test_identity_leaks_everything():
@@ -164,9 +165,21 @@ def test_float_path_tracks_exact_path():
             [Fraction(v) for v in af.values],
             [Fraction(p) / total for p in af.pmf],
         )
-        got = delta_closed_form(code, af)
-        want = float(delta_closed_form(code, ax))
-        assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+        # The float pass reads the numbers the floats hold, and a float pmf
+        # as normalised by their exact sum: the twin's own numbers.
+        assert max_distortion(af) == float(max_distortion(ax))
+        _assert_within_ulps(delta_closed_form(code, af), delta_closed_form(code, ax), 2)
+
+
+def _twin(af):
+    """The exact alphabet of the numbers a float alphabet holds; an exact pmf
+    must sum to exactly 1, so the float pmf is normalised by its sum."""
+    total = sum(Fraction(p) for p in af.pmf)
+    return make_alphabet([Fraction(v) for v in af.values], [Fraction(p) / total for p in af.pmf])
+
+
+def _assert_within_ulps(got, exact, ulps):
+    assert abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(float(exact)))
 
 
 OFFSET_CASES = [
@@ -180,24 +193,57 @@ OFFSET_CASES = [
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_float_path_agrees_with_exact_on_large_offsets(values, pmf, k):
     # Raw second moments of these values cancel catastrophically in floats;
-    # the centred pass must land on the exact numbers.
+    # the integer pass must land on the exact numbers: d_max rounded once,
+    # delta within the two ulps its per-bin rounding allows.
     af = make_alphabet(values, pmf)
-    # The same numbers read as exact decimals.
-    ax = make_alphabet(
-        [Fraction(v) for v in values],
-        None if pmf is None else [Fraction(str(p)) for p in pmf],
-    )
+    ax = _twin(af)
     code = greedy_code(af, k)
     assert code == greedy_code(ax, k)
     want = exact_oracle(code, ax)
-    scale = 1e-9 * want.d_max
     rep = bound_report(code, af)
-    for got, exact in ((rep.d_max, want.d_max), (rep.d_ach, want.d_ach), (rep.delta, want.delta)):
-        assert abs(got - exact) <= scale
-    assert abs(achievable_distortion(code, af) - want.d_ach) <= scale
-    assert abs(delta_closed_form(code, af) - want.delta) <= scale
+    assert rep.d_max == max_distortion(af) == float(want.d_max)
+    _assert_within_ulps(rep.delta, want.delta, 2)
+    assert rep.d_ach == achievable_distortion(code, af) == rep.d_max - rep.delta
+    assert delta_closed_form(code, af) == rep.delta
     assert rep.delta >= 0 and rep.d_ach <= rep.d_max
     assert rep.perfectly_secure == want.secure
+
+
+@pytest.mark.parametrize("m", [64, 1000])
+def test_float_greedy_on_a_large_offset_matches_its_exact_twin(m):
+    # 1e8 + i/100 is not on a binary grid; at m = 64 the float moment pass
+    # read delta 1.64e-16, where the exact value is 5.85e-18.
+    af = make_alphabet([1e8 + i / 100 for i in range(m)])
+    ax = _twin(af)
+    code = greedy_code(af, 2)
+    want = bound_report(code, ax)
+    rep = bound_report(code, af)
+    assert rep.d_max == float(want.d_max)
+    _assert_within_ulps(rep.delta, want.delta, 2)
+    # Not exactly secure, but every posterior mean is within tol of the mean.
+    assert rep.perfectly_secure and not want.perfectly_secure
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_a_balanced_float_code_reads_zero_advantage(k):
+    # Every bin of these greedy codes holds values whose centred sum is
+    # exactly 0; the float moment pass read 2.34e-32, 5.85e-33 and 3.70e-32.
+    a = make_alphabet([1.5 + 2 * i for i in range(12)])
+    rep = bound_report(greedy_code(a, k), a)
+    assert rep.delta == 0.0
+    assert rep.d_ach == rep.d_max
+    assert rep.perfectly_secure
+
+
+def test_a_float_result_that_does_not_fit_raises_overflow():
+    # The variance is about 5e599: it once read inf beside a finite delta.
+    a = make_alphabet([1e300, -1e300, 1.0, 2.0])
+    code = greedy_code(a, 1)
+    for report in (bound_report, delta_closed_form, achievable_distortion):
+        with pytest.raises(OverflowError):
+            report(code, a)
+    with pytest.raises(OverflowError):
+        max_distortion(a)
 
 
 def test_skewed_offset_anchor():

@@ -507,7 +507,7 @@ def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_
     assert rc == 0
     analyzed = csv_rows(out)[1]
     assert swept[5:8] == analyzed[5:8]
-    assert swept[5] == "4.733395773874887e+28"
+    assert swept[5] == "4.7333957738748861e+28"
 
 
 def test_sweep_rejects_bad_grid(capsys):
@@ -770,7 +770,8 @@ def test_simulate_trial_cap_exits_4_before_sampling(tmp_path):
 def test_float_report_keeps_delta_within_d_max(capsys, tmp_path):
     # The identity code reveals everything, so delta == d_max and d_ach == 0;
     # two roundings of one variance once printed delta a hair above d_max
-    # and a negative d_ach.
+    # and a negative d_ach.  The pmf's floats sum to 1 - 2**-54, and the
+    # value is float() of the variance under them normalised by that sum.
     code = tmp_path / "code.json"
     code.write_text(json.dumps(code_to_dict(identity_code(2))))
     rc, out, _ = run(capsys, "analyze", "--code", str(code), "--values=-2.942,3.966",
@@ -871,6 +872,7 @@ def _malformed_fixtures(tmp):
         "sys_components5.json": json.dumps(dict(system, function={"components": [[5]]})),
         "sys_form.json": json.dumps(dict(system, function=dict(system["function"], form="x"))),
         "sys_onecode.json": json.dumps(dict(system, codes=["code.json"])),
+        "code_huge.json": json.dumps(code_to_dict(greedy_code(make_alphabet(_HUGE), 1))),
     }
     for name, text in files.items():
         (tmp / name).write_text(text)
@@ -879,6 +881,7 @@ def _malformed_fixtures(tmp):
 _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
 _NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 _TOO_BIG = "1," + "1" + "0" * 336
+_HUGE = [1e300, -1e300, 1.0, 2.0]  # finite floats whose variance, about 5e599, no float holds
 _SEARCH_CAP = "exceeds caps (max_m=8, max_k=2); pass force=True to search anyway"
 _CONSTRUCTION_CAP = "construction needs m*2**k = 4*2**40 (value, key) states, above the cap of 1000000"
 
@@ -955,6 +958,8 @@ MALFORMED = [
     ("sweep --values 1..4 --k 1 --alg exchange --pmf 0.4,0.2,0.2,0.2", 3,
      "exchange binning requires a uniform alphabet"),
     (f"sweep --values {_TOO_BIG} --k 1 --alg greedy", 3, "a result does not fit a finite float"),
+    ("analyze --code {tmp}/code_huge.json --values=1e300,-1e300,1,2", 3,
+     "integer division result too large for a float"),
     ("sweep --values 1..4 --k 1 --alg greedy --jobs 0", 2,
      "argument --jobs: must be a positive integer, got 0"),
     ("encode --alg greedy --values 1..4 --k 1 --jobs -3", 2,

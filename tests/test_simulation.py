@@ -106,7 +106,7 @@ def test_pinned_composed_stream_regression():
     _, tables = _tables(_two_groups())
     assert [(t.size, [len(w) for w, _ in t.groups]) for t in tables] == [(3072, [1024, 3])]
     report = simulate(SimConfig(trials=40_000, seed=21, target=_two_groups()))
-    assert report.analytic_dach == 7.074739583333335
+    assert report.analytic_dach == 7.074739583333333
     assert report.empirical_dach == 7.021375888888859
     assert report.stderr == 0.07481154262094836
 
@@ -300,9 +300,10 @@ def test_joint_simulation_reproducible():
 
 
 def test_a_pmf_entry_at_the_bottom_of_the_float_range_is_harmless():
-    # 5e-324 / 2 underflows, so bins 0 and 2 have no posterior mean, and the
-    # pmf's common denominator overflows a float; the value's cells are
-    # kept, but their cumulative probability rounds to 0 and is never drawn.
+    # The entry 5e-324 = 2**-1074 gives bins 0 and 2 a positive integer mass
+    # and a posterior mean, and the pmf's common denominator overflows a
+    # float; the value's cells are kept, but their cumulative probability
+    # rounds to 0 and is never drawn.
     a = make_alphabet([1.0, 2.0], [1.0, 5e-324])
     code = KeyedCode(m=2, k=1, r=4, assignment=((0, 1), (2, 3)))
     report = simulate(SimConfig(trials=1_000, seed=1, target=(code, a)))
