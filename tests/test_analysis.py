@@ -70,13 +70,15 @@ def test_int_alphabets_stay_exact():
     mom = _bin_moments(identity_code(2), two)
     assert all(isinstance(x, Fraction) for x in (mom.mean, mom.var, mom.advantage()))
     assert all(isinstance(x, Fraction) for x in (*mom.m0, *mom.posterior_means()))
-    assert all(isinstance(x, Fraction) for x in (mom.covariance(mom), mom.posterior_covariance(mom)))
+    covariances = (mom.covariance(mom), mom.posterior_covariance(mom))
+    assert all(isinstance(x, Fraction) for x in covariances)
     report = bound_report(greedy_code(two, 1), two)
     assert all(isinstance(x, Fraction) for x in (report.d_max, report.d_ach, report.delta))
     # float alphabets stay on floats
     mom = _bin_moments(identity_code(2), make_alphabet([2.0, 1.0]))
     assert all(isinstance(x, float) for x in (mom.mean, mom.var, *mom.m0, *mom.posterior_means()))
-    assert all(isinstance(x, float) for x in (mom.covariance(mom), mom.posterior_covariance(mom)))
+    covariances = (mom.covariance(mom), mom.posterior_covariance(mom))
+    assert all(isinstance(x, float) for x in covariances)
 
 
 def test_identity_leaks_everything():
@@ -204,6 +206,7 @@ def test_float_path_agrees_with_exact_on_large_offsets(values, pmf, k):
     assert rep.d_max == max_distortion(af) == float(want.d_max)
     _assert_within_ulps(rep.delta, want.delta, 2)
     assert rep.d_ach == achievable_distortion(code, af) == rep.d_max - rep.delta
+    assert abs(Fraction(rep.d_ach) - want.d_ach) <= 3 * Fraction(math.ulp(rep.d_max))
     assert delta_closed_form(code, af) == rep.delta
     assert rep.delta >= 0 and rep.d_ach <= rep.d_max
     assert rep.perfectly_secure == want.secure

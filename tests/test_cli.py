@@ -881,7 +881,8 @@ def _malformed_fixtures(tmp):
 _NO_FILE = "[Errno 2] No such file or directory: '{tmp}/missing.json'"
 _NOT_JSON = "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
 _TOO_BIG = "1," + "1" + "0" * 336
-_HUGE = [1e300, -1e300, 1.0, 2.0]  # finite floats whose variance, about 5e599, no float holds
+# Finite floats whose variance, about 5e599, no float holds.
+_HUGE = [1e300, -1e300, 1.0, 2.0]
 _SEARCH_CAP = "exceeds caps (max_m=8, max_k=2); pass force=True to search anyway"
 _CONSTRUCTION_CAP = "construction needs m*2**k = 4*2**40 (value, key) states, above the cap of 1000000"
 
