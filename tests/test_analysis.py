@@ -238,6 +238,16 @@ def test_a_balanced_float_code_reads_zero_advantage(k):
     assert rep.perfectly_secure
 
 
+def test_a_float_pmf_is_read_as_normalised_by_its_sum():
+    # These floats sum to 1 - 5e-13, inside the 1e-12 a float pmf may miss 1
+    # by.  Unnormalised, the mean moved by 5e-5 on the 1e8 offset: d_max read
+    # 0.2500000025 and the balanced greedy code's delta 2.5e-9.
+    a = make_alphabet([1e8 + 1, 1e8 + 2], [0.4999999999995, 0.5])
+    rep = bound_report(greedy_code(a, 1), a)
+    assert (max_distortion(a), rep.d_max, rep.delta) == (0.25, 0.25, 0.0)
+    assert bound_report(identity_code(2), a).delta == 0.25
+
+
 def test_a_float_result_that_does_not_fit_raises_overflow():
     # The variance is about 5e599: it once read inf beside a finite delta.
     a = make_alphabet([1e300, -1e300, 1.0, 2.0])
