@@ -31,19 +31,16 @@ from itertools import compress
 from .model import KeyedCode, Scalar, SourceAlphabet, integer_view, is_exact
 
 
-def _centre_exact(table, pmf) -> tuple[list[int], int, list[int], int, int, int]:
+def _centre_exact(table, alphabet) -> tuple[tuple, int, list[int], int, int, int]:
     """The pmf and a payoff table centred on its mean, in integers.
 
-    With the pmf's numerators b_i over their sum P and the table over its
-    common denominator D (numerators A_i), S = sum_i b_i A_i and the
-    centred numerators C_i = P A_i - S put t_i - mean over PD.  Returns b,
-    P, C, PD, S and V = sum_i b_i C_i^2: the mean is S / PD and the
-    variance V / (P (PD)^2).  An exact pmf sums to 1, so P is its common
-    denominator; a float pmf is read as the distribution its numbers hold,
-    normalised by their exact sum.
+    With the pmf's numerators b_i over their sum P (``alphabet.weights``)
+    and the table over its common denominator D (numerators A_i),
+    S = sum_i b_i A_i and the centred numerators C_i = P A_i - S put
+    t_i - mean over PD.  Returns b, P, C, PD, S and V = sum_i b_i C_i^2:
+    the mean is S / PD and the variance V / (P (PD)^2).
     """
-    b, _ = integer_view(pmf)
-    p = sum(b)
+    b, p = alphabet.weights
     a, d = integer_view(table)
     s = sum(x * y for x, y in zip(b, a))
     c = [p * y - s for y in a]
@@ -66,7 +63,7 @@ def _limit(exact: bool, tol: float, scale: Scalar) -> Fraction:
 def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     """Variance of the source value: the eavesdropper's loss when the code
     tells her nothing and she falls back to guessing the overall mean."""
-    _, p, _, pd, _, v = _centre_exact(alphabet.values, alphabet.pmf)
+    _, p, _, pd, _, v = _centre_exact(alphabet.values, alphabet)
     return _ratio(alphabet.exact, v, p * pd * pd)
 
 
@@ -125,10 +122,10 @@ class _BinMoments:
         K P (PD)(PD)'.
 
         On an exact input the bins are grouped by B0_j first, so one
-        Fraction is formed per distinct bin mass.  On a float input each
-        bin's quotient is rounded once and the quotients are summed exactly
-        (``math.fsum``): one Fraction over many distinct masses would cost
-        time quadratic in their count.
+        Fraction is formed per distinct bin mass, and those are added
+        pairwise, in a balanced tree (in sequence the cost is quadratic in
+        their count).  On a float input each bin's quotient is rounded once
+        and the quotients are summed exactly (``math.fsum``), in linear time.
         """
         den = self.keys * self.pden * self.cden * other.cden
         if self.exact and other.exact:
@@ -136,7 +133,10 @@ class _BinMoments:
             for w, x, y in zip(self.b0, self.b1, other.b1):
                 if w:
                     groups[w] = groups.get(w, 0) + x * y
-            return sum((Fraction(t, w) for w, t in groups.items()), Fraction(0)) / den
+            terms = [Fraction(t, w) for w, t in groups.items()]
+            while len(terms) > 1:
+                terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
+            return sum(terms, Fraction(0)) / den
         return math.fsum(x * y / (w * den) for w, x, y in zip(self.b0, self.b1, other.b1) if w)
 
     def advantage(self) -> Scalar:
@@ -180,7 +180,7 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     elif len(table) != code.m:
         raise ValueError(f"table has {len(table)} entries for {code.m} values")
     exact = alphabet.exact and all(is_exact(t) for t in table)
-    b, pden, c, cden, s, v = _centre_exact(table, alphabet.pmf)
+    b, pden, c, cden, s, v = _centre_exact(table, alphabet)
     w1 = [x * y for x, y in zip(b, c)]
     r = code.r
     b0, b1 = [0] * r, [0] * r

@@ -85,14 +85,21 @@ class SourceAlphabet:
     def m(self) -> int:
         return len(self.values)
 
-    # The two flags scan every entry, so each is worked out once, on first
-    # use; the fields are frozen, so it cannot go stale.
+    # The flags and the pmf's integers scan every entry, so each is worked
+    # out once, on first use; the fields are frozen, so none can go stale.
     @cached_property
     def exact(self) -> bool:
         """True when every value and pmf entry is an int or Fraction."""
         return all(is_exact(v) for v in self.values) and all(
             is_exact(p) for p in self.pmf
         )
+
+    @cached_property
+    def weights(self) -> tuple[tuple[int, ...], int]:
+        """(b, P): the pmf's numerators over one denominator, and their sum;
+        a float pmf is read as normalised by its exact sum."""
+        b, _ = integer_view(self.pmf)
+        return tuple(b), sum(b)
 
     @property
     def spread(self) -> Scalar:

@@ -13,8 +13,8 @@ mu_i^(l)(g) = E[f_i^(l)(X_i) | G_i = g] a single-source posterior mean,
 
 So a composed system is analysed from one bin-moment pass per (term, source)
 pair, in O(L^2 sum_i m_i 2**k_i) time, whatever its joint state count
-prod_i m_i 2**k_i.  The test suite checks the results against an exact
-enumeration of that product space.
+prod_i m_i 2**k_i, combining them exactly and rounding once.  The test suite
+checks the results against an exact enumeration of that product space.
 
 Securing every per-component table f_i^(l) under its own source's code
 secures f: each mu_i^(l) is then constant, and so is E[f | G].  Necessity
@@ -27,7 +27,8 @@ observation tuple whose conditional mean moves off E[f].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 
 from .analysis import DistortionReport, _BinMoments, _bin_moments, _limit
 from .model import KeyedCode, Scalar, SourceAlphabet
@@ -144,27 +145,13 @@ class JointSystem:
         return states
 
 
-def _product_covariance(qs, cs) -> Scalar:
-    """prod_i (q_i + c_i) - prod_i q_i, accumulated without the subtraction.
-
-    D <- q_i D + c_i P and P <- (q_i + c_i) P keep D equal to the difference
-    after every factor, so floats never cancel two large products.  The first
-    factor sets D = c_1 outright: a q_1 that overflows is never multiplied by
-    a zero D, so one source yields its c_1 whatever its mean.
-    """
-    d, p = cs[0], qs[0] + cs[0]
-    for q, c in zip(qs[1:], cs[1:]):
-        d, p = q * d + c * p, (q + c) * p
-    return d
-
-
 @dataclass(frozen=True)
 class _Composition:
     """A separable function's moments under its system's codes.
 
     ``moments[l][i]`` is the bin-moment pass of table f_i^(l) under code i;
     ``mean`` is E[f], ``d_max`` is var(f) and ``delta`` is var(E[f | G]),
-    capped at ``d_max`` so that float rounding never puts it above.
+    capped at ``d_max``, which per-bin rounding on floats could pass.
     """
 
     exact: bool
@@ -173,22 +160,19 @@ class _Composition:
     d_max: Scalar
     delta: Scalar
 
-    def secure(self, tol: float) -> bool:
-        """E[f | G] is constant: its RMS gap sqrt(delta) is within ``tol``
-        scaled by max(1, |E[f]|), a limit of 0 on an exact input.  Compared
-        exactly, as delta <= limit^2."""
-        return self.delta <= _limit(self.exact, tol, self.mean) ** 2
-
 
 def _compose(system: JointSystem) -> _Composition:
-    """One bin-moment pass per (term, source) pair, then the term-pair sums.
+    """One bin-moment pass per (term, source) pair, then the term-pair sums
+    in Fractions, rounded once on a float input (OverflowError if no float
+    holds one).
 
     For terms l, l' and source i let q_i = nu_i^l nu_i^l' be the product of
-    the two factors' means.  Then cov(F_l, F_l') = prod_i (q_i + c_i) -
-    prod_i q_i, where c_i is the covariance of f_i^(l)(X_i) and
-    f_i^(l')(X_i) for var(f) (``_BinMoments.covariance``), and of their
-    posterior means, sum_j s1_j^l s1_j^l' / m0_j, for var(E[f | G])
-    (``_BinMoments.posterior_covariance``).
+    the two factors' means.  Then E[F_l F_l'] = prod_i (q_i + c_i), where
+    c_i is the covariance of f_i^(l)(X_i) and f_i^(l')(X_i)
+    (``_BinMoments.covariance``), and var(f) is their sum over term pairs
+    less E[f]^2; var(E[f | G]) is the same with c_i the covariance of the
+    posterior means (``_BinMoments.posterior_covariance``), taken as the
+    exact value of the float a float input rounds per bin, in linear time.
     """
     moments = tuple(
         tuple(
@@ -197,29 +181,37 @@ def _compose(system: JointSystem) -> _Composition:
         )
         for term in system.function.components
     )
-    d_max = delta = 0
-    for row_a in moments:
-        for row_b in moments:
-            pairs = list(zip(row_a, row_b))
-            qs = [ma.mean * mb.mean for ma, mb in pairs]
-            d_max += _product_covariance(qs, [ma.covariance(mb) for ma, mb in pairs])
-            delta += _product_covariance(
-                qs, [ma.posterior_covariance(mb) for ma, mb in pairs]
-            )
-    mean = sum(math.prod(mom.mean for mom in row) for row in moments)
     exact = all(mom.exact for row in moments for mom in row)
-    return _Composition(exact, moments, mean, d_max, min(delta, d_max))
+    twins = [[replace(mom, exact=True) for mom in row] for row in moments]
+    mean = sum(math.prod(twin.mean for twin in row) for row in twins)
+    second = posterior_second = 0
+    for row_a, twins_a in zip(moments, twins):
+        for row_b, twins_b in zip(moments, twins):
+            qs = [ta.mean * tb.mean for ta, tb in zip(twins_a, twins_b)]
+            second += math.prod(
+                q + ta.covariance(tb) for q, ta, tb in zip(qs, twins_a, twins_b)
+            )
+            posterior_second += math.prod(
+                q + Fraction(ma.posterior_covariance(mb))
+                for q, ma, mb in zip(qs, row_a, row_b)
+            )
+    d_max = second - mean * mean
+    delta = min(posterior_second - mean * mean, d_max)
+    rounded = (x if exact else float(x) for x in (mean, d_max, delta))
+    return _Composition(exact, moments, *rounded)
 
 
 def joint_distortion(system: JointSystem, tol: float = 1e-9) -> DistortionReport:
     """Distortion picture of the composed system, from per-source moments.
 
     Reports max distortion var(f), the eavesdropper's advantage
-    var(E[f | G]) and her achievable distortion, their difference.  The
+    var(E[f | G]) and her achievable distortion, their difference.  On a
+    float system the first two are formed exactly and rounded once.  The
     single-source decay bounds do not speak about composed systems, so both
     bound flags and the spread are None.  The system is perfectly secure
-    when the advantage is exactly zero; on floats when its root is within
-    ``tol`` scaled by max(1, |E[f]|).
+    when the advantage is exactly zero; on floats when its root, the RMS
+    gap between E[f | G] and E[f], is within ``tol`` scaled by
+    max(1, |E[f]|), compared exactly as delta <= limit^2.
     """
     comp = _compose(system)
     return DistortionReport(
@@ -229,7 +221,7 @@ def joint_distortion(system: JointSystem, tol: float = 1e-9) -> DistortionReport
         spread=None,
         bound1_ok=None,
         bound2_ok=None,
-        perfectly_secure=comp.secure(tol),
+        perfectly_secure=comp.delta <= _limit(comp.exact, tol, comp.mean) ** 2,
     )
 
 
@@ -264,10 +256,10 @@ class WitnessReport:
     """
 
     status: str
-    observation: tuple[int, ...] | None
-    conditional_mean: Scalar | None
-    function_mean: Scalar | None
-    joint_delta: Scalar | None
+    observation: tuple[int, ...] | None = None
+    conditional_mean: Scalar | None = None
+    function_mean: Scalar | None = None
+    joint_delta: Scalar | None = None
 
 
 def necessity_witness(
@@ -283,7 +275,7 @@ def necessity_witness(
     and variance is nonzero; otherwise returns status "not-applicable".
     The tuple's conditional mean sum_l prod_i mu_i^(l)(g_i), the function
     mean sum_l prod_i E[f_i^(l)] and the joint advantage all come from the
-    per-source moments.
+    per-source moments, formed exactly and rounded once on a float system.
     """
     fn = system.function
     if fn.form not in ("pure-sum", "pure-product"):
@@ -306,13 +298,7 @@ def necessity_witness(
             # limit secure() judges by; both limits are 0 on an exact input.
             limit = _limit(mom.exact, tol, mom.mean)
             if abs(mom.mean) <= _limit(mom.exact, tol, 0) or mom.var <= limit * limit:
-                return WitnessReport(
-                    status="not-applicable",
-                    observation=None,
-                    conditional_mean=None,
-                    function_mean=None,
-                    joint_delta=None,
-                )
+                return WitnessReport(status="not-applicable")
 
     observation = []
     for mom in components:
@@ -327,13 +313,16 @@ def necessity_witness(
         observation.append(pick)
     observation = tuple(observation)
     conditional_mean = sum(
-        math.prod(mom.posterior_means()[g] for mom, g in zip(row, observation))
+        math.prod(
+            replace(mom, exact=True).posterior_means()[g]
+            for mom, g in zip(row, observation)
+        )
         for row in comp.moments
     )
     return WitnessReport(
         status="found",
         observation=observation,
-        conditional_mean=conditional_mean,
+        conditional_mean=conditional_mean if comp.exact else float(conditional_mean),
         function_mean=comp.mean,
         joint_delta=comp.delta,
     )

@@ -47,7 +47,7 @@ from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, mul, sub
 from random import Random
 
-from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, integer_view
+from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet
 from .multisource import JointSystem, _compose, product_function
 
 STREAM_TRIALS = 1 << 14
@@ -111,7 +111,7 @@ def _source(alphabet: SourceAlphabet, code: KeyedCode, factors, means):
     probabilities, B) with every probability a whole multiple of 1 / B, and
     per term the cells' function factors and posterior-mean factors.
     """
-    nums, _ = integer_view(alphabet.pmf)
+    nums, _ = alphabet.weights
     cells = [(x, g) for row in code.assignment for x, g in enumerate(row) if nums[x]]
     weights = [nums[x] for x, _ in cells]
     return (

@@ -491,3 +491,31 @@ def test_composed_integer_moments_equal_the_joint_oracle(data):
     rep = joint_distortion(system)
     assert (rep.d_max, rep.d_ach, rep.delta) == (want.d_max, want.d_ach, want.delta)
     assert rep.perfectly_secure == want.secure
+    # The float twin is composed from the numbers its floats hold, and its
+    # pmf as normalised by their exact sum: d_max is rounded once from the
+    # exact value, and delta, built from posterior covariances rounded per
+    # bin, stays in [0, d_max].
+    floats = _floated(system, float)
+    rep = joint_distortion(floats)
+    assert rep.d_max == float(joint_distortion(_floated(floats, Fraction)).d_max)
+    assert 0 <= rep.delta <= rep.d_max
+    assert rep.d_ach == rep.d_max - rep.delta
+
+
+def _floated(system, numbers):
+    """``system`` with every value, pmf entry and table entry passed through
+    ``numbers``; a Fraction pmf is normalised by its sum, as an exact pmf
+    must sum to exactly 1."""
+    sources = []
+    for a in system.sources:
+        pmf = [numbers(p) for p in a.pmf]
+        total = sum(pmf) if numbers is Fraction else 1
+        sources.append(make_alphabet([numbers(v) for v in a.values], [p / total for p in pmf]))
+    function = SeparableFunction(
+        n=system.n,
+        components=tuple(
+            tuple(tuple(map(numbers, table)) for table in term)
+            for term in system.function.components
+        ),
+    )
+    return JointSystem(sources=tuple(sources), codes=system.codes, function=function)

@@ -873,6 +873,13 @@ def _malformed_fixtures(tmp):
         "sys_form.json": json.dumps(dict(system, function=dict(system["function"], form="x"))),
         "sys_onecode.json": json.dumps(dict(system, codes=["code.json"])),
         "code_huge.json": json.dumps(code_to_dict(greedy_code(make_alphabet(_HUGE), 1))),
+        # Each source's moments fit a float; var(X*Y), about 1e400, does not.
+        "sys_huge.json": json.dumps({
+            "version": 1,
+            "sources": [{"values": [1e100, 2e100]}] * 2,
+            "codes": [code_to_dict(identity_code(2))] * 2,
+            "function": {"form": "pure-product", "components": [[[2e100, 1e100]] * 2]},
+        }),
     }
     for name, text in files.items():
         (tmp / name).write_text(text)
@@ -942,6 +949,7 @@ MALFORMED = [
      "('general-sum-of-products', 'pure-sum', 'pure-product')"),
     ("compose --config {tmp}/sys_onecode.json", 3,
      "function touches 2 sources, got 2 alphabets and 1 codes"),
+    ("compose --config {tmp}/sys_huge.json", 3, "integer division result too large for a float"),
     ("simulate --system {tmp}/sys_v2.json --code {tmp}/code.json", 2,
      "give exactly one of --code or --system"),
     ("simulate --code {tmp}/code.json", 2, "missing --values"),
@@ -949,6 +957,8 @@ MALFORMED = [
     ("simulate --code {tmp}/code.json --values 1,2,3", 3, "alphabet has 3 values, code expects 4"),
     ("simulate --system {tmp}/sys_badcode.json --trials 64", 3,
      "{tmp}/code_k_null.json: k must be an integer, got None"),
+    ("simulate --system {tmp}/sys_huge.json --trials 64", 3,
+     "integer division result too large for a float"),
     ("sweep --values 1..4 --k 5..1 --alg greedy", 2, "argument --k: empty range '5..1'"),
     ("sweep --values 1..4 --k 1 --alg sneaky", 2, "unknown algorithm 'sneaky'"),
     ("sweep --values 1..4 --k=-1 --alg greedy", 2, "argument --k: key bit counts must be >= 0"),

@@ -79,6 +79,18 @@ def test_exactness_flag():
     assert not make_alphabet([1, 2], [0.5, 0.5]).exact
 
 
+def test_pmf_integers_are_formed_once_in_value_order():
+    a = make_alphabet([1, 3, 2], [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)])
+    assert a.weights == ((2, 1, 1), 4)
+    assert a.weights is a.weights
+    # A float pmf is read as normalised by its exact sum: the numbers 0.7,
+    # 0.2 and 0.1 hold add up to a hair under 1.
+    held = [Fraction(q) for q in (0.7, 0.2, 0.1)]
+    b, p = make_alphabet([3, 2, 1], [0.7, 0.2, 0.1]).weights
+    assert sum(held) != 1
+    assert [Fraction(x, p) for x in b] == [q / sum(held) for q in held]
+
+
 def test_bad_alphabets_rejected():
     with pytest.raises(ValueError):
         make_alphabet([])

@@ -229,6 +229,55 @@ def test_float_product_over_large_offsets_matches_exact():
     assert got.perfectly_secure == want.perfectly_secure
 
 
+def _cancelling_system(numbers, revealed):
+    """f = X*Y - X*(Y + 1/4) = -X/4 on X = 1e9 + {0, .25, .5, .75} and
+    Y = 1e9 + {0, .5, 1, 1.5}, read as ``numbers`` (float or Fraction).
+    The source named by ``revealed`` gets the identity code, the other a
+    greedy code that balances its values."""
+    x = make_alphabet([numbers(1e9 + i / 4) for i in range(4)])
+    y = make_alphabet([numbers(1e9 + i / 2) for i in range(4)])
+    greedy_x, greedy_y = greedy_code(x, 1), greedy_code(y, 1)
+    codes = (identity_code(4), greedy_y) if revealed == "x" else (greedy_x, identity_code(4))
+    shifted = tuple(t + Fraction(1, 4) for t in y.values)  # a float stays a float
+    terms = ((x.values, y.values), (tuple(-t for t in x.values), shifted))
+    return JointSystem(
+        sources=(x, y), codes=codes, function=SeparableFunction(n=2, components=terms)
+    )
+
+
+@pytest.mark.parametrize(
+    "revealed, d_max, d_ach, delta",
+    [("y", 0.0048828125, 0.0048828125, 0.0), ("x", 0.0048828125, 0.0, 0.0048828125)],
+)
+def test_cancelling_float_terms_report_their_exact_twin(revealed, d_max, d_ach, delta):
+    # Every term is near 1e18 and f varies by tenths: var(-X/4) = 5/1024.
+    # Multiplied in floats, both systems read d_max = delta = -64.0; composed
+    # in Fractions and rounded once they read their exact twin's numbers.
+    rep = joint_distortion(_cancelling_system(float, revealed))
+    want = joint_distortion(_cancelling_system(Fraction, revealed))
+    assert (rep.d_max, rep.d_ach, rep.delta) == (d_max, d_ach, delta)
+    assert (want.d_max, want.d_ach, want.delta) == tuple(map(Fraction, (d_max, d_ach, delta)))
+    if revealed == "y":
+        sim = simulate(SimConfig(trials=1000, seed=5, target=_cancelling_system(float, "y")))
+        assert sim.analytic_dach == rep.d_ach
+
+
+def test_a_composed_float_result_that_does_not_fit_raises_overflow():
+    # Each source's moments fit a float, but var(X*Y) is about 1e400: the
+    # float products once read d_max = delta = inf and d_ach = nan.
+    big = make_alphabet([1e100, 2e100])
+    system = JointSystem(
+        sources=(big, big),
+        codes=(identity_code(2), identity_code(2)),
+        function=product_function([big.values, big.values]),
+    )
+    for call in (joint_distortion, check_sufficiency):
+        with pytest.raises(OverflowError):
+            call(system)
+    with pytest.raises(OverflowError):
+        simulate(SimConfig(trials=64, seed=1, target=system))
+
+
 def test_sum_witness_anchor():
     system = _two_source_system(sum_function([VALS, VALS]), code0=identity_code(4))
     report = necessity_witness(system, 0)
