@@ -13,19 +13,17 @@ the code's assignment table: the payoff's variance, and for each bin its
 probability mass and the first moment of the payoff centred on its overall
 mean.  The pass puts the pmf and the payoff over common denominators first,
 for every alphabet (a finite float is a binary rational), so it and the
-verdicts add and compare integers.  A reported number is formed from its
-integers: a Fraction on an exact input; on a float input the nearest
-float, rounded once, or for the advantage rounded once per bin and summed
-exactly.  The test suite checks the moments against an independent
-enumeration of every (value, key) pair in exact arithmetic.
+verdicts add and compare integers.  The moments are exact, and a reported
+number is formed from them once: a Fraction on an exact input, on a float
+input float() of its exact value.  The test suite checks the moments against
+an independent enumeration of every (value, key) pair in exact arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import compress
 
 from .model import KeyedCode, Scalar, SourceAlphabet, integer_view, is_exact
@@ -47,11 +45,23 @@ def _centre_exact(table, alphabet) -> tuple[tuple, int, list[int], int, int, int
     return b, p, c, p * d, s, sum(x * y * y for x, y in zip(b, c))
 
 
-def _ratio(exact: bool, num: int, den: int) -> Scalar:
-    """num / den as a reported number: a Fraction on an exact input, and on
-    a float input the nearest float, since int true division rounds once
-    (OverflowError when it does not fit)."""
-    return Fraction(num, den) if exact else num / den
+def _rounded(exact: bool, bounds) -> Scalar:
+    """A reported number x: exact on an exact input, else float(x)
+    (OverflowError when no float holds it).  ``bounds(p)`` returns Fractions
+    lo <= x <= hi that close in as p grows, ``bounds(None)`` x twice.
+    Rounding is monotone, so once lo and hi round alike, sign included,
+    that float is float(x) (Ziv's rounding test: A. Ziv, ACM TOMS 17(3),
+    1991).  Only an x on a rounding midpoint, or too near one to settle at
+    p = 4096, is formed exactly.
+    """
+    if not exact:
+        for p in (64, 256, 1024, 4096):
+            lo, hi = bounds(p)
+            x = float(lo)
+            if x == float(hi) and (lo < 0) == (hi < 0):
+                return x
+    x = bounds(None)[0]
+    return x if exact else float(x)
 
 
 def _limit(exact: bool, tol: float, scale: Scalar) -> Fraction:
@@ -64,7 +74,8 @@ def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     """Variance of the source value: the eavesdropper's loss when the code
     tells her nothing and she falls back to guessing the overall mean."""
     _, p, _, pd, _, v = _centre_exact(alphabet.values, alphabet)
-    return _ratio(alphabet.exact, v, p * pd * pd)
+    x = Fraction(v, p * pd * pd)
+    return x if alphabet.exact else float(x)
 
 
 @dataclass(frozen=True)
@@ -77,10 +88,10 @@ class _BinMoments:
     ``b1[j]`` is E[(t(X) - mean) 1{bin j}] over KP * PD, with K = ``keys``
     = 2**k.  The mean is ``s`` / PD and the variance ``v`` / (P PD^2).
 
-    The sums and verdicts below read the integers.  ``exact`` decides only
-    how a reported number is formed from them (``_ratio``): a Fraction on an
-    exact input, the nearest float on a float input.  ``mean``, ``var`` and
-    the bin masses ``m0`` are formed when first read.
+    Every accessor returns an exact value, a Fraction, whatever the input;
+    ``exact`` tells a caller whether to report it as it is or round it once
+    (``_rounded``), and sets the verdicts' tolerance (``_limit``).  ``mean``
+    and ``var`` are formed when first read.
     """
 
     exact: bool
@@ -95,62 +106,55 @@ class _BinMoments:
     v: int
 
     @cached_property
-    def mean(self) -> Scalar:
-        return _ratio(self.exact, self.s, self.cden)
+    def mean(self) -> Fraction:
+        return Fraction(self.s, self.cden)
 
     @cached_property
-    def var(self) -> Scalar:
-        return _ratio(self.exact, self.v, self.pden * self.cden * self.cden)
-
-    @cached_property
-    def m0(self) -> tuple:
-        return tuple(_ratio(self.exact, w, self.keys * self.pden) for w in self.b0)
+    def var(self) -> Fraction:
+        return Fraction(self.v, self.pden * self.cden * self.cden)
 
     def support(self) -> list[int]:
         return [j for j, w in enumerate(self.b0) if w > 0]
 
-    def covariance(self, other: _BinMoments) -> Scalar:
+    def covariance(self, other: _BinMoments) -> Fraction:
         """cov(t(X), u(X)) = sum_i p_i c_i c'_i, for ``other`` the pass of a
         payoff u over the same alphabet."""
         total = sum(x * y * z for x, y, z in zip(self.b, self.c, other.c))
-        return _ratio(self.exact and other.exact, total, self.pden * self.cden * other.cden)
+        return Fraction(total, self.pden * self.cden * other.cden)
 
-    def posterior_covariance(self, other: _BinMoments) -> Scalar:
-        """cov(E[t | bin], E[u | bin]) = sum_j s1_j s1'_j / m0_j over
-        observable bins, for ``other`` the pass of a payoff u under the same
-        code and alphabet.  In integers that is sum_j B1_j B1'_j / B0_j over
-        K P (PD)(PD)'.
-
-        On an exact input the bins are grouped by B0_j first, so one
-        Fraction is formed per distinct bin mass, and those are added
-        pairwise, in a balanced tree (in sequence the cost is quadratic in
-        their count).  On a float input each bin's quotient is rounded once
-        and the quotients are summed exactly (``math.fsum``), in linear time.
+    def posterior_covariance(self, other: _BinMoments, p: int | None = None) -> tuple:
+        """Bounds lo <= x <= hi on x = cov(E[t | bin], E[u | bin]) =
+        sum_j s1_j s1'_j / m0_j over observable bins, for ``other`` the pass
+        of a payoff u under the same code and alphabet.  In integers x is
+        sum_j B1_j B1'_j / B0_j over K P (PD)(PD)', one quotient per
+        distinct bin mass B0_j.  With p None both bounds are x, the
+        quotients added pairwise in a balanced tree (in sequence the cost is
+        quadratic in their count).  Otherwise each quotient is floored at p
+        fractional bits, and hi adds 2**-p per inexact one: linear time.
         """
         den = self.keys * self.pden * self.cden * other.cden
-        if self.exact and other.exact:
-            groups: dict[int, int] = {}
-            for w, x, y in zip(self.b0, self.b1, other.b1):
-                if w:
-                    groups[w] = groups.get(w, 0) + x * y
+        groups: dict[int, int] = {}
+        for w, x, y in zip(self.b0, self.b1, other.b1):
+            if w:
+                groups[w] = groups.get(w, 0) + x * y
+        if p is None:
             terms = [Fraction(t, w) for w, t in groups.items()]
             while len(terms) > 1:
                 terms = [sum(terms[i : i + 2]) for i in range(0, len(terms), 2)]
-            return sum(terms, Fraction(0)) / den
-        return math.fsum(x * y / (w * den) for w, x, y in zip(self.b0, self.b1, other.b1) if w)
+            x = sum(terms, Fraction(0)) / den
+            return x, x
+        floors = inexact = 0
+        for w, t in groups.items():
+            q, r = divmod(t << p, w)
+            floors += q
+            inexact += r != 0
+        return Fraction(floors, den << p), Fraction(floors + inexact, den << p)
 
-    def advantage(self) -> Scalar:
-        """var(E[t | bin]) = sum_j s1_j^2 / m0_j, capped at ``var``.  In the
-        reals it never exceeds it; on a float input the bins' quotients are
-        rounded apart from the variance, so the cap keeps 0 <= advantage <=
-        var there.  On an exact input the cap is an identity."""
-        return min(self.posterior_covariance(self), self.var)
-
-    def posterior_means(self) -> tuple[Scalar | None, ...]:
+    def posterior_means(self) -> tuple[Fraction | None, ...]:
         """E[t | bin j] = mean + s1_j / m0_j = (S B0_j + B1_j) / (B0_j PD)
         per bin, None for an unobservable one."""
         return tuple(
-            _ratio(self.exact, self.s * w + x, w * self.cden) if w else None
+            Fraction(self.s * w + x, w * self.cden) if w else None
             for w, x in zip(self.b0, self.b1)
         )
 
@@ -193,16 +197,21 @@ def _bin_moments(code: KeyedCode, alphabet: SourceAlphabet, table=None) -> _BinM
     )
 
 
+def _advantage(mom: _BinMoments) -> Scalar:
+    """var(E[t | bin]), the posterior means' variance, as reported."""
+    return _rounded(mom.exact, partial(mom.posterior_covariance, mom))
+
+
 def achievable_distortion(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
     """The eavesdropper's minimum expected squared error, E[var(Y | bin)].
 
     By the law of total variance it is d_max minus the advantage, and it is
-    formed that way, with the advantage capped at d_max, so on floats it is
-    never negative and equals ``bound_report``'s d_ach bit for bit.  On
-    exact input it is the sum over bins of the within-bin variance.
+    formed that way, so it equals ``bound_report``'s d_ach bit for bit.  On
+    floats both are rounded once from their exact values, and rounding is
+    monotone, so the difference is never negative.
     """
     mom = _bin_moments(code, alphabet)
-    return mom.var - mom.advantage()
+    return (mom.var if mom.exact else float(mom.var)) - _advantage(mom)
 
 
 def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
@@ -213,12 +222,11 @@ def delta_closed_form(code: KeyedCode, alphabet: SourceAlphabet) -> Scalar:
         advantage = sum_j s1_j^2 / m0_j
 
     over observable bins, summed from the pass's integers.  On a float
-    input each bin's term is rounded once and the terms are added exactly,
-    so the result is never negative and lies within two ulps of the exact
-    value.  It is capped at d_max, the variance from the same pass, so
-    0 <= delta <= d_max on floats as on exact input.
+    input the result is float() of the exact sum, so it is never negative
+    and never exceeds d_max, and a code whose bins are exactly balanced
+    reads 0.
     """
-    return _bin_moments(code, alphabet).advantage()
+    return _advantage(_bin_moments(code, alphabet))
 
 
 def is_perfectly_secure(
@@ -257,8 +265,10 @@ class DistortionReport:
     single sources, so non-uniform and composed reports carry None).
     ``spread`` is the value spread of a single source and None for a
     composed system; ``bench/spans.py`` passes it when it assembles a report
-    from the timed parts.  On floats as on exact input, 0 <= delta <= d_max
-    and d_ach = d_max - delta, so d_ach is never negative.
+    from the timed parts.  On floats d_max and delta are float() of their
+    exact values, and d_ach = d_max - delta; as rounding is monotone,
+    0 <= delta <= d_max holds on floats as on exact input, so d_ach is
+    never negative.
     """
 
     d_max: Scalar
@@ -280,7 +290,8 @@ def bound_report(
     rounding noise; on exact input the slack is carried as an exact Fraction.
     """
     mom = _bin_moments(code, alphabet)
-    d_max, delta = mom.var, mom.advantage()
+    d_max = mom.var if mom.exact else float(mom.var)
+    delta = _advantage(mom)
     spread = alphabet.spread
     bounds = decay_bounds(alphabet, code.k, d_max)
     if bounds is None:

@@ -27,10 +27,9 @@ observation tuple whose conditional mean moves off E[f].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from fractions import Fraction
+from dataclasses import dataclass
 
-from .analysis import DistortionReport, _BinMoments, _bin_moments, _limit
+from .analysis import DistortionReport, _BinMoments, _bin_moments, _limit, _rounded
 from .model import KeyedCode, Scalar, SourceAlphabet
 
 FORMS = ("general-sum-of-products", "pure-sum", "pure-product")
@@ -151,7 +150,7 @@ class _Composition:
 
     ``moments[l][i]`` is the bin-moment pass of table f_i^(l) under code i;
     ``mean`` is E[f], ``d_max`` is var(f) and ``delta`` is var(E[f | G]),
-    capped at ``d_max``, which per-bin rounding on floats could pass.
+    each float() of its exact value on a float system.
     """
 
     exact: bool
@@ -163,16 +162,17 @@ class _Composition:
 
 def _compose(system: JointSystem) -> _Composition:
     """One bin-moment pass per (term, source) pair, then the term-pair sums
-    in Fractions, rounded once on a float input (OverflowError if no float
-    holds one).
+    of their exact moments, each result rounded once on a float input
+    (OverflowError if no float holds one).
 
     For terms l, l' and source i let q_i = nu_i^l nu_i^l' be the product of
     the two factors' means.  Then E[F_l F_l'] = prod_i (q_i + c_i), where
     c_i is the covariance of f_i^(l)(X_i) and f_i^(l')(X_i)
     (``_BinMoments.covariance``), and var(f) is their sum over term pairs
-    less E[f]^2; var(E[f | G]) is the same with c_i the covariance of the
-    posterior means (``_BinMoments.posterior_covariance``), taken as the
-    exact value of the float a float input rounds per bin, in linear time.
+    less E[f]^2.  var(E[f | G]) is the same with c_i the covariance of the
+    posterior means; ``_BinMoments.posterior_covariance`` bounds each c_i by
+    [lo_i, hi_i], so the products of the intervals q_i + [lo_i, hi_i] bound
+    it, and ``_rounded`` narrows them until its float is settled.
     """
     moments = tuple(
         tuple(
@@ -182,23 +182,24 @@ def _compose(system: JointSystem) -> _Composition:
         for term in system.function.components
     )
     exact = all(mom.exact for row in moments for mom in row)
-    twins = [[replace(mom, exact=True) for mom in row] for row in moments]
-    mean = sum(math.prod(twin.mean for twin in row) for row in twins)
-    second = posterior_second = 0
-    for row_a, twins_a in zip(moments, twins):
-        for row_b, twins_b in zip(moments, twins):
-            qs = [ta.mean * tb.mean for ta, tb in zip(twins_a, twins_b)]
-            second += math.prod(
-                q + ta.covariance(tb) for q, ta, tb in zip(qs, twins_a, twins_b)
-            )
-            posterior_second += math.prod(
-                q + Fraction(ma.posterior_covariance(mb))
-                for q, ma, mb in zip(qs, row_a, row_b)
-            )
-    d_max = second - mean * mean
-    delta = min(posterior_second - mean * mean, d_max)
-    rounded = (x if exact else float(x) for x in (mean, d_max, delta))
-    return _Composition(exact, moments, *rounded)
+    mean = sum(math.prod(mom.mean for mom in row) for row in moments)
+    pairs = [list(zip(row_a, row_b)) for row_a in moments for row_b in moments]
+    second = sum(math.prod(a.mean * b.mean + a.covariance(b) for a, b in pair) for pair in pairs)
+
+    def bounds(p):
+        lo = hi = -mean * mean
+        for pair in pairs:
+            x = y = 1
+            for a, b in pair:
+                q = a.mean * b.mean
+                c_lo, c_hi = a.posterior_covariance(b, p)
+                ends = (x * (q + c_lo), x * (q + c_hi), y * (q + c_lo), y * (q + c_hi))
+                x, y = min(ends), max(ends)
+            lo, hi = lo + x, hi + y
+        return lo, hi
+
+    rounded = (x if exact else float(x) for x in (mean, second - mean * mean))
+    return _Composition(exact, moments, *rounded, _rounded(exact, bounds))
 
 
 def joint_distortion(system: JointSystem, tol: float = 1e-9) -> DistortionReport:
@@ -313,10 +314,7 @@ def necessity_witness(
         observation.append(pick)
     observation = tuple(observation)
     conditional_mean = sum(
-        math.prod(
-            replace(mom, exact=True).posterior_means()[g]
-            for mom, g in zip(row, observation)
-        )
+        math.prod(mom.posterior_means()[g] for mom, g in zip(row, observation))
         for row in comp.moments
     )
     return WitnessReport(

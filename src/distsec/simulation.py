@@ -32,7 +32,8 @@ x major:
   cell, which is where ``random.choices`` clamps.
 
 Block sums are plain sums, merged across blocks with compensated summation
-(math.fsum).  The block layout is independent of any worker count, so a
+(math.fsum); the spread sums are of each error's deviation from the
+analytic figure.  The block layout is independent of any worker count, so a
 seed fixes the report bit for bit.
 """
 
@@ -117,7 +118,7 @@ def _source(alphabet: SourceAlphabet, code: KeyedCode, factors, means):
     return (
         (weights, sum(weights) // math.gcd(*weights)),
         [[float(t[x]) for x, _ in cells] for t in factors],
-        [[math.nan if mu[g] is None else float(mu[g]) for _, g in cells] for mu in means],
+        [[mu[g] for _, g in cells] for mu in means],
     )
 
 
@@ -194,7 +195,8 @@ def _tables(system: JointSystem) -> tuple[Scalar, list[_Table]]:
             alphabet,
             code,
             [term[i] for term in terms],
-            [row[i].posterior_means() for row in comp.moments],
+            [[math.nan if mu is None else float(mu) for mu in row[i].posterior_means()]
+             for row in comp.moments],
         )
         if tables and tables[-1].size * len(group[0]) <= FOLD_CELLS:
             tables[-1].fold(group, f, est)
@@ -254,18 +256,22 @@ def simulate(config: SimConfig) -> SimReport:
     errors = _errors(tables)
     del tables  # the per-term columns: only what ``errors`` reads stays
 
-    sums, sums_sq = [], []
+    # The spread is summed about a fixed shift near the mean: on errors near
+    # 1e16, sum(e^2) - sum(e)^2 / n cancels to nothing.
+    shift = float(analytic)
+    sums, dev_sums, dev_squares = [], [], []
     for s, size in enumerate(_stream_sizes(config.trials)):
         draw = Random(config.seed << 32 | s).random
         us = list(starmap(draw, repeat((), size * groups)))
         err = errors([us[g::groups] for g in range(groups)])
+        dev = list(map(sub, err, repeat(shift)))
         sums.append(sum(err))
-        sums_sq.append(sum(map(mul, err, err)))
+        dev_sums.append(sum(dev))
+        dev_squares.append(sum(map(mul, dev, dev)))
     n = config.trials
-    s1 = math.fsum(sums)
-    s2 = math.fsum(sums_sq)
-    empirical = s1 / n
-    var = max(s2 - s1 * s1 / n, 0.0) / max(n - 1, 1)
+    d1 = math.fsum(dev_sums)
+    empirical = math.fsum(sums) / n
+    var = max(math.fsum(dev_squares) - d1 * d1 / n, 0.0) / max(n - 1, 1)
     return SimReport(
         trials=n,
         seed=config.seed,

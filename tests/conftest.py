@@ -15,7 +15,15 @@ from math import prod
 
 import numpy as np
 
-from distsec import Binning, KeyedCode, SourceAlphabet, greedy_code, make_alphabet
+from distsec import (
+    Binning,
+    JointSystem,
+    KeyedCode,
+    SeparableFunction,
+    SourceAlphabet,
+    greedy_code,
+    make_alphabet,
+)
 from distsec.encoders import _seeded_permutation
 
 
@@ -48,6 +56,30 @@ def random_float_alphabet(
         return make_alphabet(values)
     weights = rng.integers(1, 20, size=m).astype(float)
     return make_alphabet(values, list(weights / weights.sum()))
+
+
+def exact_twin(alphabet: SourceAlphabet) -> SourceAlphabet:
+    """The exact alphabet of the numbers a float alphabet holds; an exact pmf
+    must sum to exactly 1, so the float pmf is normalised by its sum, as the
+    package reads it."""
+    total = sum(Fraction(p) for p in alphabet.pmf)
+    return make_alphabet(
+        [Fraction(v) for v in alphabet.values], [Fraction(p) / total for p in alphabet.pmf]
+    )
+
+
+def exact_system_twin(system: JointSystem) -> JointSystem:
+    """A composed system's exact twin: every source's ``exact_twin`` and every
+    table entry as the Fraction it holds, under the same codes."""
+    function = SeparableFunction(
+        n=system.n,
+        components=tuple(
+            tuple(tuple(map(Fraction, table)) for table in term)
+            for term in system.function.components
+        ),
+    )
+    sources = tuple(map(exact_twin, system.sources))
+    return JointSystem(sources=sources, codes=system.codes, function=function)
 
 
 def binning_of(code: KeyedCode, alphabet: SourceAlphabet | None = None) -> Binning:

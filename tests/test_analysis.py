@@ -1,6 +1,5 @@
 """Adversary analysis: posterior, oracle distortion, closed forms, bounds."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +10,8 @@ from hypothesis import strategies as st
 from conftest import (
     binning_of,
     exact_oracle,
+    exact_system_twin,
+    exact_twin,
     joint_oracle,
     random_code,
     random_exact_alphabet,
@@ -34,11 +35,16 @@ from distsec import (
     product_function,
     sum_function,
 )
-from distsec.analysis import _bin_moments
+from distsec.analysis import _bin_moments, _rounded
 from distsec.encoders import Binning
 
 QUAD = make_alphabet([1, 2, 3, 4])
 IRREGULAR = make_alphabet([9, 5, 2, 1])
+
+
+def _masses(mom):
+    """p(bin j) per bin, from the pass's integer masses B0_j over K P."""
+    return tuple(Fraction(w, mom.keys * mom.pden) for w in mom.b0)
 
 
 def test_max_distortion_anchors():
@@ -49,7 +55,7 @@ def test_max_distortion_anchors():
 
 def test_posterior_of_perfect_code():
     mom = _bin_moments(greedy_code(QUAD, 1), QUAD)
-    assert mom.m0 == (Fraction(1, 4),) * 4
+    assert _masses(mom) == (Fraction(1, 4),) * 4
     assert mom.posterior_means() == (Fraction(5, 2),) * 4
     assert mom.support() == [0, 1, 2, 3]
 
@@ -57,7 +63,7 @@ def test_posterior_of_perfect_code():
 def test_posterior_skips_unreachable_bins():
     code = KeyedCode(m=1, k=0, r=2, assignment=((0,),))
     mom = _bin_moments(code, make_alphabet([7]))
-    assert mom.m0 == (1, 0)
+    assert _masses(mom) == (1, 0)
     assert mom.posterior_means() == (7, None)
     assert mom.support() == [0]
 
@@ -66,19 +72,21 @@ def test_int_alphabets_stay_exact():
     # int / int is a float in Python; nothing an int alphabet reports may be.
     two = make_alphabet([2, 1])
     assert max_distortion(two) == Fraction(1, 4)
-    assert isinstance(max_distortion(two), Fraction)
-    mom = _bin_moments(identity_code(2), two)
-    assert all(isinstance(x, Fraction) for x in (mom.mean, mom.var, mom.advantage()))
-    assert all(isinstance(x, Fraction) for x in (*mom.m0, *mom.posterior_means()))
-    covariances = (mom.covariance(mom), mom.posterior_covariance(mom))
-    assert all(isinstance(x, Fraction) for x in covariances)
-    report = bound_report(greedy_code(two, 1), two)
-    assert all(isinstance(x, Fraction) for x in (report.d_max, report.d_ach, report.delta))
-    # float alphabets stay on floats
-    mom = _bin_moments(identity_code(2), make_alphabet([2.0, 1.0]))
-    assert all(isinstance(x, float) for x in (mom.mean, mom.var, *mom.m0, *mom.posterior_means()))
-    covariances = (mom.covariance(mom), mom.posterior_covariance(mom))
-    assert all(isinstance(x, float) for x in covariances)
+    code = greedy_code(two, 1)
+    for a, kind in ((two, Fraction), (make_alphabet([2.0, 1.0]), float)):
+        report = bound_report(code, a)
+        joint = joint_distortion(
+            JointSystem((a, a), (code, identity_code(2)), product_function([a.values] * 2))
+        )
+        reported = (
+            max_distortion(a), delta_closed_form(code, a), achievable_distortion(code, a),
+            report.d_max, report.d_ach, report.delta, joint.d_max, joint.d_ach, joint.delta,
+        )
+        assert all(type(x) is kind for x in reported)
+        # The moment kernel is exact on every input; only a report rounds.
+        mom = _bin_moments(identity_code(2), a)
+        kernel = (mom.mean, mom.var, mom.covariance(mom), *mom.posterior_means())
+        assert all(isinstance(x, Fraction) for x in (*kernel, *mom.posterior_covariance(mom)))
 
 
 def test_identity_leaks_everything():
@@ -145,7 +153,7 @@ def test_moment_kernel_matches_oracle(data):
     assert is_perfectly_secure(code, a) == want.secure
     mom = _bin_moments(code, a)
     assert mom.var == want.d_max
-    assert mom.m0 == want.prob
+    assert _masses(mom) == want.prob
     assert mom.posterior_means() == want.means
     assert mom.support() == [j for j, p in enumerate(want.prob) if p > 0]
     table = [int(t) for t in rng.integers(-50, 51, size=m)]
@@ -161,27 +169,11 @@ def test_float_path_tracks_exact_path():
         m = int(rng.integers(2, 10))
         code = random_code(rng, m, 1, m)
         af = random_float_alphabet(rng, m, nonuniform=bool(rng.integers(2)))
-        # An exact pmf must sum to exactly 1, so the twin drops the float dust.
-        total = sum(Fraction(p) for p in af.pmf)
-        ax = make_alphabet(
-            [Fraction(v) for v in af.values],
-            [Fraction(p) / total for p in af.pmf],
-        )
+        ax = exact_twin(af)
         # The float pass reads the numbers the floats hold, and a float pmf
         # as normalised by their exact sum: the twin's own numbers.
         assert max_distortion(af) == float(max_distortion(ax))
-        _assert_within_ulps(delta_closed_form(code, af), delta_closed_form(code, ax), 2)
-
-
-def _twin(af):
-    """The exact alphabet of the numbers a float alphabet holds; an exact pmf
-    must sum to exactly 1, so the float pmf is normalised by its sum."""
-    total = sum(Fraction(p) for p in af.pmf)
-    return make_alphabet([Fraction(v) for v in af.values], [Fraction(p) / total for p in af.pmf])
-
-
-def _assert_within_ulps(got, exact, ulps):
-    assert abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(float(exact)))
+        assert delta_closed_form(code, af) == float(delta_closed_form(code, ax))
 
 
 OFFSET_CASES = [
@@ -195,18 +187,16 @@ OFFSET_CASES = [
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_float_path_agrees_with_exact_on_large_offsets(values, pmf, k):
     # Raw second moments of these values cancel catastrophically in floats;
-    # the integer pass must land on the exact numbers: d_max rounded once,
-    # delta within the two ulps its per-bin rounding allows.
+    # the integer pass must land on the exact numbers, each rounded once.
     af = make_alphabet(values, pmf)
-    ax = _twin(af)
+    ax = exact_twin(af)
     code = greedy_code(af, k)
     assert code == greedy_code(ax, k)
     want = exact_oracle(code, ax)
     rep = bound_report(code, af)
     assert rep.d_max == max_distortion(af) == float(want.d_max)
-    _assert_within_ulps(rep.delta, want.delta, 2)
+    assert rep.delta == float(want.delta)
     assert rep.d_ach == achievable_distortion(code, af) == rep.d_max - rep.delta
-    assert abs(Fraction(rep.d_ach) - want.d_ach) <= 3 * Fraction(math.ulp(rep.d_max))
     assert delta_closed_form(code, af) == rep.delta
     assert rep.delta >= 0 and rep.d_ach <= rep.d_max
     assert rep.perfectly_secure == want.secure
@@ -217,12 +207,12 @@ def test_float_greedy_on_a_large_offset_matches_its_exact_twin(m):
     # 1e8 + i/100 is not on a binary grid; at m = 64 the float moment pass
     # read delta 1.64e-16, where the exact value is 5.85e-18.
     af = make_alphabet([1e8 + i / 100 for i in range(m)])
-    ax = _twin(af)
+    ax = exact_twin(af)
     code = greedy_code(af, 2)
     want = bound_report(code, ax)
     rep = bound_report(code, af)
     assert rep.d_max == float(want.d_max)
-    _assert_within_ulps(rep.delta, want.delta, 2)
+    assert rep.delta == float(want.delta)
     # Not exactly secure, but every posterior mean is within tol of the mean.
     assert rep.perfectly_secure and not want.perfectly_secure
 
@@ -250,13 +240,34 @@ def test_a_float_pmf_is_read_as_normalised_by_its_sum():
 
 def test_a_float_result_that_does_not_fit_raises_overflow():
     # The variance is about 5e599: it once read inf beside a finite delta.
+    # The advantage alone fits: it is float() of its exact value.
     a = make_alphabet([1e300, -1e300, 1.0, 2.0])
     code = greedy_code(a, 1)
-    for report in (bound_report, delta_closed_form, achievable_distortion):
+    assert delta_closed_form(code, a) == 0.5625
+    for report in (bound_report, achievable_distortion):
         with pytest.raises(OverflowError):
             report(code, a)
     with pytest.raises(OverflowError):
         max_distortion(a)
+
+
+def test_a_value_on_a_rounding_midpoint_is_formed_exactly():
+    # 1 + 2**-53 lies halfway between 1.0 and the next float up, so no
+    # bracket around it settles and float() of the exact value, which rounds
+    # half to even, is the answer.  Brackets about 0 settle only on a sign.
+    def around(x):
+        def bounds(p):
+            calls.append(p)
+            return (x, x) if p is None else (x - Fraction(1, 2**p), x + Fraction(1, 2**p))
+        return bounds
+
+    for x, want in ((1 + Fraction(1, 2**53), 1.0), (Fraction(0), 0.0)):
+        calls = []
+        got = _rounded(False, around(x))
+        assert (got, str(got)) == (want, str(want))
+        assert calls == [64, 256, 1024, 4096, None]
+    calls = []
+    assert _rounded(True, around(Fraction(1, 3))) == Fraction(1, 3) and calls == [None]
 
 
 def test_skewed_offset_anchor():
@@ -296,14 +307,14 @@ def _draw_code(data, alphabet):
 def _assert_report_contract(rep):
     assert 0 <= rep.d_ach
     assert 0 <= rep.delta <= rep.d_max
-    assert abs(rep.d_ach + rep.delta - rep.d_max) <= 2 * math.ulp(rep.d_max)
+    assert rep.d_ach == rep.d_max - rep.delta
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_float_report_never_contradicts_itself(data):
     # d_max and the advantage round separately on floats; the report must
-    # still read 0 <= d_ach, 0 <= delta <= d_max, d_ach + delta = d_max.
+    # still read 0 <= d_ach, 0 <= delta <= d_max, d_ach = d_max - delta.
     a = data.draw(_float_alphabets())
     code_a = _draw_code(data, a)
     rep = bound_report(code_a, a)
@@ -456,11 +467,18 @@ def test_integer_moments_equal_the_oracle(data):
     assert delta_closed_form(code, alphabet) == want.delta
     assert is_perfectly_secure(code, alphabet) == want.secure
     mom = _bin_moments(code, alphabet)
-    assert (mom.mean, mom.m0, mom.posterior_means()) == (want.mean, want.prob, want.means)
+    assert (mom.mean, _masses(mom), mom.posterior_means()) == (want.mean, want.prob, want.means)
     table = data.draw(st.lists(_RATIONALS, min_size=code.m, max_size=code.m))
-    mom = _bin_moments(code, alphabet, table)
+    value_mom, mom = mom, _bin_moments(code, alphabet, table)
     want = exact_oracle(code, alphabet, table)
-    assert (mom.mean, mom.var, mom.advantage()) == (want.mean, want.d_max, want.delta)
+    assert (mom.mean, mom.var) == (want.mean, want.d_max)
+    assert mom.posterior_covariance(mom) == (want.delta, want.delta)
+    # The bounds a float report narrows bracket the exact value, cross terms
+    # of either sign included.
+    for other in (mom, value_mom):
+        x, _ = mom.posterior_covariance(other)
+        lo, hi = mom.posterior_covariance(other, 64)
+        assert lo <= x <= hi and (lo == hi) == (x == lo)
     assert (mom.posterior_means(), mom.secure(1e-9)) == (want.means, want.secure)
 
 
@@ -492,29 +510,25 @@ def test_composed_integer_moments_equal_the_joint_oracle(data):
     assert (rep.d_max, rep.d_ach, rep.delta) == (want.d_max, want.d_ach, want.delta)
     assert rep.perfectly_secure == want.secure
     # The float twin is composed from the numbers its floats hold, and its
-    # pmf as normalised by their exact sum: d_max is rounded once from the
-    # exact value, and delta, built from posterior covariances rounded per
-    # bin, stays in [0, d_max].
-    floats = _floated(system, float)
+    # pmf as normalised by their exact sum: d_max and delta are each rounded
+    # once from the exact value.
+    floats = _floated(system)
     rep = joint_distortion(floats)
-    assert rep.d_max == float(joint_distortion(_floated(floats, Fraction)).d_max)
-    assert 0 <= rep.delta <= rep.d_max
+    want = joint_distortion(exact_system_twin(floats))
+    assert (rep.d_max, rep.delta) == (float(want.d_max), float(want.delta))
     assert rep.d_ach == rep.d_max - rep.delta
 
 
-def _floated(system, numbers):
-    """``system`` with every value, pmf entry and table entry passed through
-    ``numbers``; a Fraction pmf is normalised by its sum, as an exact pmf
-    must sum to exactly 1."""
-    sources = []
-    for a in system.sources:
-        pmf = [numbers(p) for p in a.pmf]
-        total = sum(pmf) if numbers is Fraction else 1
-        sources.append(make_alphabet([numbers(v) for v in a.values], [p / total for p in pmf]))
+def _floated(system):
+    """``system`` with every value, pmf entry and table entry as a float."""
+    sources = [
+        make_alphabet([float(v) for v in a.values], [float(p) for p in a.pmf])
+        for a in system.sources
+    ]
     function = SeparableFunction(
         n=system.n,
         components=tuple(
-            tuple(tuple(map(numbers, table)) for table in term)
+            tuple(tuple(map(float, table)) for table in term)
             for term in system.function.components
         ),
     )

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import distsec
+from conftest import exact_oracle
 from distsec import (
     CapExceededError,
     JointSystem,
@@ -108,7 +109,7 @@ def test_pinned_composed_stream_regression():
     report = simulate(SimConfig(trials=40_000, seed=21, target=_two_groups()))
     assert report.analytic_dach == 7.074739583333333
     assert report.empirical_dach == 7.021375888888859
-    assert report.stderr == 0.07481154262094836
+    assert report.stderr == 0.07481154262094807
 
     _, tables = _tables(_two_tables())
     assert [(t.size, len(t.groups)) for t in tables] == [(4096, 1), (32, 1)]
@@ -149,7 +150,7 @@ def test_simulate_runs_without_numpy(tmp_path):
         outputs.append(done.stdout.decode().splitlines()[1])
     assert outputs == [
         "20000,3,1.25,1.2428999999999999,0.0070710663622239435",
-        "20000,3,2.2333333333333334,2.2267853333332472,0.021450430827339141",
+        "20000,3,2.2333333333333334,2.2267853333332472,0.021450430827337618",
     ]
 
 
@@ -234,6 +235,13 @@ def test_a_mean_whose_square_overflows_leaves_the_analytic_figure_finite():
     assert report.analytic_dach == 0.0
 
 
+def test_an_analytic_figure_no_float_holds_raises_overflow():
+    # d_ach is about 5e399; the squared errors once read inf and stderr nan.
+    a = make_alphabet([10**200, -10**200, 1, 2])
+    with pytest.raises(OverflowError):
+        simulate(SimConfig(trials=100, seed=1, target=(greedy_code(a, 1), a)))
+
+
 def test_identity_code_has_zero_error():
     report = simulate(SimConfig(trials=5_000, seed=4, target=(identity_code(4), QUAD)))
     assert report.analytic_dach == 0
@@ -247,6 +255,27 @@ def test_empirical_within_four_stderr():
     assert report.analytic_dach == Fraction(73, 8)
     assert abs(report.empirical_dach - float(report.analytic_dach)) <= 4 * report.stderr
     assert report.stderr > 0
+
+
+@pytest.mark.parametrize("values", [
+    [1e8 + 1, 1e8, -1e8, -1e8 - 1],
+    [s * 1e9 + d for s in (1, -1) for d in (3, 1, -1, -3)],
+], ids=["1e8", "1e9"])
+def test_stderr_is_right_on_a_large_mean(values):
+    # Every squared error is near 1e16 or 1e18 with a spread far below its
+    # mean; from raw sums of squares the report read stderr 0.0 and 4.6e8.
+    a = make_alphabet(values)
+    code = greedy_code(a, 1)
+    trials = 10**6
+    report = simulate(SimConfig(trials=trials, seed=0, target=(code, a)))
+    means = exact_oracle(code, a).means
+    pmf = [Fraction(p, code.key_count) for p in a.pmf]
+    cells = [(pmf[x], (Fraction(a.values[x]) - means[g]) ** 2)
+             for row in code.assignment for x, g in enumerate(row)]
+    mean = sum(p * e for p, e in cells)
+    sd = math.sqrt(sum(p * (e - mean) ** 2 for p, e in cells))
+    assert abs(report.stderr / (sd / math.sqrt(trials)) - 1) <= 0.01
+    assert abs(report.empirical_dach - float(report.analytic_dach)) <= 4 * report.stderr
 
 
 def test_nonuniform_pmf_is_respected():
