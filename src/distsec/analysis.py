@@ -21,12 +21,11 @@ an independent enumeration of every (value, key) pair in exact arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress
 
-from .model import KeyedCode, Scalar, SourceAlphabet, integer_view, is_exact
+from .model import KeyedCode, Scalar, SourceAlphabet, frozen, integer_view, is_exact
 
 
 def _centre_exact(table, alphabet) -> tuple[tuple, int, list[int], int, int, int]:
@@ -78,7 +77,7 @@ def max_distortion(alphabet: SourceAlphabet) -> Scalar:
     return x if alphabet.exact else float(x)
 
 
-@dataclass(frozen=True)
+@frozen
 class _BinMoments:
     """Per-bin moments of a payoff t(X) under a uniformly random key.
 
@@ -255,7 +254,7 @@ def decay_bounds(
     return d_max / keys, spread * spread / keys**2
 
 
-@dataclass(frozen=True)
+@frozen
 class DistortionReport:
     """One code's distortion picture.
 

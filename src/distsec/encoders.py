@@ -10,10 +10,9 @@ loss grows with how uneven the bin sums are.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from random import Random
 
-from .model import KeyedCode, SourceAlphabet, integer_view
+from .model import KeyedCode, SourceAlphabet, frozen, integer_view
 
 _SWAP_LIMIT = 1_000_000
 
@@ -41,7 +40,7 @@ def _seeded_permutation(m: int, copies: int, seed: int) -> list[int]:
     return items
 
 
-@dataclass(frozen=True)
+@frozen
 class Binning:
     """Bin contents without a key assignment.
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+import operator
 from fractions import Fraction
 from functools import cached_property
 
@@ -64,12 +64,94 @@ def integer_view(xs) -> tuple[list[int], int]:
     """Numerators of ``xs`` over their least common denominator, and that
     denominator: exact for ints, Fractions and floats alike, since each gives
     its exact ratio by ``as_integer_ratio`` (a float is a binary rational)."""
+    if set(map(type, xs)) == {int}:
+        return list(xs), 1
     ratios = [x.as_integer_ratio() for x in xs]
     d = math.lcm(*(q for _, q in ratios))
     return [p * (d // q) for p, q in ratios], d
 
 
-@dataclass(frozen=True)
+def frozen(cls):
+    """Make ``cls`` an immutable value type over its annotated fields, as
+    ``dataclass(frozen=True)`` does, without importing ``dataclasses``: that
+    module and the ``inspect`` it loads cost a one-shot CLI run more than
+    most of its work.
+
+    The fields are the class's own annotations, in order, and a class
+    attribute of a field's name is that field's default.  ``__init__`` takes
+    the fields by position or keyword, then calls ``__post_init__`` if the
+    class has one; ``==``, ``hash`` and ``repr`` read the field values;
+    assigning or deleting an attribute raises AttributeError.  Instances
+    keep a ``__dict__``, so ``cached_property`` and pickling work unchanged.
+    """
+    names = tuple(cls.__annotations__)
+    defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
+    post_init = getattr(cls, "__post_init__", None)
+    call = f"{cls.__qualname__}.__init__()"
+    get = operator.attrgetter(*names)
+    values = get if len(names) > 1 else lambda self: (get(self),)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{call} takes {len(names) + 1} positional arguments "
+                            f"but {len(args) + 1} were given")
+        given = dict(zip(names, args))
+        for key in kwargs:
+            if key in given:
+                raise TypeError(f"{call} got multiple values for argument {key!r}")
+            if key not in names:
+                raise TypeError(f"{call} got an unexpected keyword argument {key!r}")
+        given.update(kwargs)
+        missing = [n for n in names if n not in given and n not in defaults]
+        if missing:
+            raise TypeError(f"{call} missing required arguments: {missing}")
+        self.__dict__.update({n: given[n] if n in given else defaults[n] for n in names})
+        if post_init is not None:
+            post_init(self)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(names, values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    for method in (__init__, __eq__, __hash__, __repr__, __setattr__, __delattr__):
+        method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
+        setattr(cls, method.__name__, method)
+    cls.__match_args__ = names
+    cls.__signature__ = _Signature()
+    return cls
+
+
+class _Signature:
+    """What ``inspect.signature`` reports for a ``frozen`` class: its fields
+    as parameters, built when asked for, so that no class loads ``inspect``."""
+
+    def __get__(self, instance, owner):
+        import inspect
+
+        Parameter = inspect.Parameter
+        return inspect.Signature(
+            [Parameter(n, Parameter.POSITIONAL_OR_KEYWORD, annotation=a,
+                       default=owner.__dict__.get(n, Parameter.empty))
+             for n, a in owner.__annotations__.items()],
+            return_annotation=None,
+        )
+
+
+@frozen
 class SourceAlphabet:
     """A finite value list with a probability mass function.
 
@@ -98,6 +180,8 @@ class SourceAlphabet:
     def weights(self) -> tuple[tuple[int, ...], int]:
         """(b, P): the pmf's numerators over one denominator, and their sum;
         a float pmf is read as normalised by its exact sum."""
+        if self.is_uniform():
+            return (1,) * self.m, self.m
         b, _ = integer_view(self.pmf)
         return tuple(b), sum(b)
 
@@ -159,7 +243,7 @@ def make_alphabet(values, pmf=None) -> SourceAlphabet:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class KeyedCode:
     """An injective bin assignment per key value.
 

@@ -27,15 +27,14 @@ observation tuple whose conditional mean moves off E[f].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .analysis import DistortionReport, _BinMoments, _bin_moments, _limit, _rounded
-from .model import KeyedCode, Scalar, SourceAlphabet
+from .model import KeyedCode, Scalar, SourceAlphabet, frozen
 
 FORMS = ("general-sum-of-products", "pure-sum", "pure-product")
 
 
-@dataclass(frozen=True)
+@frozen
 class SeparableFunction:
     """Sum-of-products function table.
 
@@ -102,7 +101,7 @@ def product_function(tables) -> SeparableFunction:
     return SeparableFunction(n=len(tables), components=(tables,), form="pure-product")
 
 
-@dataclass(frozen=True)
+@frozen
 class JointSystem:
     """Independent sources, one keyed code each, and a separable function."""
 
@@ -144,7 +143,7 @@ class JointSystem:
         return states
 
 
-@dataclass(frozen=True)
+@frozen
 class _Composition:
     """A separable function's moments under its system's codes.
 
@@ -246,7 +245,7 @@ def check_sufficiency(system: JointSystem, tol: float = 1e-9) -> bool:
     return ok
 
 
-@dataclass(frozen=True)
+@frozen
 class WitnessReport:
     """Outcome of a necessity probe.
 

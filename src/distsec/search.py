@@ -45,16 +45,15 @@ lexicographically smallest one.  Only the winner is completed to a code.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError
 from .encoders import Binning, complete_key_assignment, greedy_code
-from .model import KeyedCode, Scalar, SourceAlphabet, integer_view
+from .model import KeyedCode, Scalar, SourceAlphabet, frozen, integer_view
 
 
-@dataclass(frozen=True)
+@frozen
 class StructureReport:
     """Shape properties expected of advantage-minimal codes, beyond the
     degree properties every KeyedCode enforces (one assignment per value
@@ -89,7 +88,7 @@ def verify_structure(code: KeyedCode) -> StructureReport:
     )
 
 
-@dataclass(frozen=True)
+@frozen
 class SearchResult:
     """Outcome of a brute-force search.
 

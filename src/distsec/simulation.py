@@ -42,13 +42,12 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate, chain, islice, repeat, starmap
 from operator import add, mul, sub
 from random import Random
 
-from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet
+from .model import CapExceededError, KeyedCode, Scalar, SourceAlphabet, frozen
 from .multisource import JointSystem, _compose, product_function
 
 STREAM_TRIALS = 1 << 14
@@ -63,7 +62,7 @@ FOLD_CELLS = 1 << 16
 MAX_TRIALS = 10**8
 
 
-@dataclass(frozen=True)
+@frozen
 class SimConfig:
     """One simulation request.
 
@@ -86,7 +85,7 @@ class SimConfig:
             raise ValueError("seed must fit in 64 bits")
 
 
-@dataclass(frozen=True)
+@frozen
 class SimReport:
     trials: int
     seed: int

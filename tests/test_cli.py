@@ -10,7 +10,6 @@ import ast
 import concurrent.futures
 import contextlib
 import copy
-import dataclasses
 import importlib
 import io
 import json
@@ -431,13 +430,16 @@ _ONE_RUN = {
 def test_each_subcommand_runs_alone_in_a_fresh_interpreter(tmp_path, command):
     # A handler that calls a layer its subcommand does not load would fail
     # with a NameError (exit 1) in a fresh run only: in process, earlier
-    # tests have loaded every layer.  No subcommand loads numpy.
+    # tests have loaded every layer.  No subcommand loads numpy, nor
+    # dataclasses and the inspect it imports: the value types are
+    # model.frozen classes.
     _write_system(tmp_path)
     argv = _ONE_RUN[command].format(tmp=tmp_path).split()
     rc, out, loaded = run_fresh(*argv)
     assert (rc, out.decode()) == main_quiet(argv)[:2]
     assert rc == 0 and out
     assert HEAVY & loaded == set()
+    assert {"dataclasses", "inspect"} & loaded == set()
 
 
 _POOLED = """
@@ -817,7 +819,7 @@ def test_cli_binds_every_name_the_traced_bench_run_swaps():
         for node in ast.walk(tree)
         if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "DistortionReport"
     ]
-    assert report_keywords == [{f.name for f in dataclasses.fields(DistortionReport)}]
+    assert report_keywords == [set(DistortionReport.__match_args__)]
     assert len(report_keywords[0]) == 7
     assert "state_count" in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
     assert callable(JointSystem.state_count)

@@ -1,6 +1,10 @@
 """Alphabet and code plumbing: ordering, validation, round trips."""
 
+import dataclasses
 import enum
+import inspect
+import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,15 +14,32 @@ from hypothesis import strategies as st
 
 from conftest import random_code
 from distsec import (
+    Binning,
+    DistortionReport,
+    JointSystem,
     KeyedCode,
+    SearchResult,
+    SeparableFunction,
+    SimConfig,
+    SimReport,
+    SourceAlphabet,
+    StructureReport,
+    WitnessReport,
     alphabet_from_dict,
     alphabet_to_dict,
+    bound_report,
+    brute_force_optimal,
     code_from_dict,
     code_to_dict,
     greedy_code,
     make_alphabet,
+    simulate,
+    sum_function,
+    verify_structure,
 )
-from distsec.model import parse_rational, scalar_from_json, scalar_to_json
+from distsec.analysis import _bin_moments, _BinMoments
+from distsec.model import integer_view, parse_rational, scalar_from_json, scalar_to_json
+from distsec.multisource import _compose, _Composition
 
 
 def test_values_sorted_descending_with_permutation_record():
@@ -89,6 +110,27 @@ def test_pmf_integers_are_formed_once_in_value_order():
     b, p = make_alphabet([3, 2, 1], [0.7, 0.2, 0.1]).weights
     assert sum(held) != 1
     assert [Fraction(x, p) for x in b] == [q / sum(held) for q in held]
+
+
+def _integer_view_reference(xs):
+    ratios = [Fraction(x).as_integer_ratio() for x in xs]
+    d = math.lcm(*(q for _, q in ratios))
+    return [p * (d // q) for p, q in ratios], d
+
+
+def test_integer_views_agree_with_the_ratio_pass_on_every_domain():
+    for xs in ([3, -1, 0, 2**70], [3, Fraction(1, 3), -2], [0.5, 3, 0.1],
+               [Fraction(1, 4)] * 4, [0.25] * 4, []):
+        assert integer_view(xs) == _integer_view_reference(xs), xs
+    # An all-int list is its own view, over 1.
+    assert integer_view((5, -7)) == ([5, -7], 1)
+    for values, pmf in (([1, 2, 3], None), ([1.5, 2, 3], None), ([1, 2, 3, 4], [0.25] * 4),
+                        ([1, 2, 3], [Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)]),
+                        ([1, 2, 3], [0.5, 0.3, 0.2]), ([7], [1]),
+                        ([1, 2, 3, 4], [Fraction(1, 4), 0.25, Fraction(2, 8), 0.25])):
+        a = make_alphabet(values, pmf)
+        b, _ = _integer_view_reference(a.pmf)
+        assert a.weights == (tuple(b), sum(b)), (values, pmf)
 
 
 def test_bad_alphabets_rejected():
@@ -269,3 +311,103 @@ def test_rational_literals_bound_their_exponent():
     for text in ("1/0", "1e5/3", "inf", "0x10"):
         with pytest.raises(ValueError, match="bad rational literal"):
             parse_rational(text)
+
+
+# --- the frozen value types ---------------------------------------------------
+
+_ALPHA = make_alphabet([1, 2, 3])
+_CODE = greedy_code(_ALPHA, 1)
+_SYSTEM = JointSystem((_ALPHA, _ALPHA), (_CODE, _CODE), sum_function([_ALPHA.values] * 2))
+# One instance of each value type, and keyword arguments on which each type
+# with a __post_init__ check refuses to build.
+_VALUES = (
+    (_ALPHA, None),
+    (_CODE, {"m": 3, "k": 0, "r": 3, "assignment": ((0, 1, 1),)}),
+    (_bin_moments(_CODE, _ALPHA), None),
+    (bound_report(_CODE, _ALPHA), None),
+    (Binning(3, ((0, 2), (1,))), {"m": 2, "bins": ((1, 0),)}),
+    (verify_structure(_CODE), None),
+    (brute_force_optimal(_ALPHA, 1), None),
+    (_SYSTEM.function, {"n": 1, "components": (((1, 2),),), "form": "pure"}),
+    (_SYSTEM, {"sources": (_ALPHA,), "codes": (_CODE,), "function": _SYSTEM.function}),
+    (_compose(_SYSTEM), None),
+    (WitnessReport("not-applicable"), None),
+    (SimConfig(10, 3, (_CODE, _ALPHA)), {"trials": 10**9, "seed": 3, "target": _SYSTEM}),
+    (simulate(SimConfig(10, 3, (_CODE, _ALPHA))), None),
+)
+# What the decorator installs; a dataclass twin gets its own.
+_INSTALLED = {"__init__", "__eq__", "__hash__", "__repr__", "__setattr__", "__delattr__",
+              "__match_args__", "__signature__", "__dict__", "__weakref__"}
+
+
+def _dataclass_twin(cls):
+    """The same class body under dataclass(frozen=True)."""
+    body = {k: v for k, v in vars(cls).items() if k not in _INSTALLED}
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), body))
+
+
+def _raised(build):
+    try:
+        build()
+    except Exception as e:  # the type and message are what is compared
+        return type(e), str(e)
+    raise AssertionError("built without an error")
+
+
+def test_value_types_behave_as_their_dataclass_twins():
+    types_ = [type(value) for value, _ in _VALUES]
+    assert set(types_) == {
+        SourceAlphabet, KeyedCode, _BinMoments, DistortionReport, Binning, StructureReport,
+        SearchResult, SeparableFunction, JointSystem, _Composition, WitnessReport, SimConfig,
+        SimReport}
+    for value, bad in _VALUES:
+        cls = type(value)
+        twin = _dataclass_twin(cls)
+        names = tuple(cls.__annotations__)
+        args = tuple(getattr(value, n) for n in names)
+        assert cls.__match_args__ == twin.__match_args__ == names
+        assert inspect.signature(cls) == inspect.signature(twin)
+        # Positional, keyword and mixed construction, and defaults.
+        mirror = twin(*args)
+        for built in (cls(*args), cls(**dict(zip(names, args))),
+                      cls(*args[:1], **dict(zip(names[1:], args[1:])))):
+            assert built == value and built is not value
+            assert vars(built) == vars(mirror)
+            assert (repr(built), hash(built)) == (repr(mirror), hash(mirror))
+        required = [n for n in names if n not in vars(cls)]
+        assert repr(cls(*args[:len(required)])) == repr(twin(*args[:len(required)]))
+        # The same arguments are refused, with the same error type.
+        for make in (twin, cls):
+            for build in (lambda: make(*args[:len(required) - 1]),
+                          lambda: make(*args, bogus=1),
+                          lambda: make(*args, None),
+                          lambda: make(*args, **{names[0]: args[0]})):
+                with pytest.raises(TypeError):
+                    build()
+        if bad is not None:
+            error = _raised(lambda: cls(**bad))
+            assert error == _raised(lambda: twin(**bad)) and error[0] is not TypeError
+        # == is by class and fields; neither type equals the other.
+        assert value != mirror and mirror != value
+        assert (value == cls(*args)) is True and (value != cls(*args)) is False
+        # Frozen: no field or other attribute can be set or deleted.
+        for target in (value, mirror):
+            for name in (names[0], "other"):
+                with pytest.raises(AttributeError):
+                    setattr(target, name, 0)
+                with pytest.raises(AttributeError):
+                    delattr(target, name)
+        assert getattr(value, names[0]) is args[0]
+        copy = pickle.loads(pickle.dumps(value))
+        assert (type(copy), copy, repr(copy)) == (cls, value, repr(value))
+
+
+def test_cached_values_survive_pickling():
+    alphabet = make_alphabet([3, 1, 2], [0.5, 0.25, 0.25])
+    moments = _bin_moments(_CODE, _ALPHA)
+    for value, name in ((alphabet, "weights"), (alphabet, "exact"), (moments, "mean")):
+        cached = getattr(value, name)
+        copy = pickle.loads(pickle.dumps(value))
+        assert vars(copy)[name] == cached
+        assert getattr(copy, name) is vars(copy)[name]
+
