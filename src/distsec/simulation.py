@@ -11,7 +11,10 @@ pmf[x] / 2**k; cells of probability zero are left out.  Consecutive sources
 fold into one table of joint cells while it holds at most FOLD_CELLS cells.
 Each joint cell carries, per term, the product of its sources' function
 factors and of their posterior means, so a trial is a few lookups; with a
-single table it is one lookup of the cell's precomputed squared error.
+single table it is one lookup of the cell's precomputed squared error.  A
+single table keeps only that squared error, 8 bytes a cell: its per-term
+products are formed one row or one stride of cells at a time, never as
+full columns.
 
 Draws.  Only ``random.Random(...).random()`` is used: Python keeps its
 sequence for a seed the same in every release.  Trials are split into
@@ -31,10 +34,12 @@ x major:
   float, exceeds u; the last one is exactly 1, so u never passes the last
   cell, which is where ``random.choices`` clamps.
 
-Block sums are plain sums, merged across blocks with compensated summation
-(math.fsum); the spread sums are of each error's deviation from the
-analytic figure.  The block layout is independent of any worker count, so a
-seed fixes the report bit for bit.
+Block sums are correctly rounded (math.fsum), and so are their merges
+across blocks; the spread sums are of each error's deviation from the
+analytic figure.  The built-in sum() would not do: Python 3.12 made it
+compensated, so its float sums differ between releases.  The block layout
+is independent of any worker count, so a seed fixes the report bit for bit
+on every Python release.
 """
 
 from __future__ import annotations
@@ -54,9 +59,10 @@ STREAM_TRIALS = 1 << 14
 # The most cells a table folds and the most buckets a group's lookup holds.
 # A table's cells are built once and kept, and each source folded in saves
 # lookups per trial; 2**16 folds the composed bench systems of up to 36864
-# cells into one table in a few megabytes.
+# cells into one table, whose squared errors take 8 bytes a cell (288 KB at
+# 36864 cells, 512 KB at 2**16).
 FOLD_CELLS = 1 << 16
-# About 26 s of sampling for a small source and 80 s for a four-source
+# About 31 s of sampling for a small source and 80 s for a four-source
 # product of 786432 joint states; a typo in --trials beyond it would cost
 # hours.
 MAX_TRIALS = 10**8
@@ -99,9 +105,23 @@ def _stream_sizes(trials: int) -> list[int]:
     return [STREAM_TRIALS] * full + ([rest] if rest else [])
 
 
+def _uniforms(draw, size: int, groups: int) -> list[list[float]]:
+    """``size`` trials' uniforms per group: trial i takes draws i*G ...
+    i*G + G - 1 for the G groups."""
+    us = list(starmap(draw, repeat((), size * groups)))
+    return [us[g::groups] for g in range(groups)] if groups > 1 else [us]
+
+
 def _outer(xs, ys) -> list:
     """x * y for every pair, x major: a column of two folded tables."""
     return [x * y for x in xs for y in ys]
+
+
+def _squares(f, est) -> array:
+    """(sum_l f_l - sum_l est_l) ** 2 per cell, from per-term columns, the
+    terms summed left to right."""
+    e = map(sub, reduce(partial(map, add), f), reduce(partial(map, add), est))
+    return array("d", [x * x for x in e])
 
 
 def _source(alphabet: SourceAlphabet, code: KeyedCode, factors, means):
@@ -146,24 +166,57 @@ class _Table:
     """Consecutive sources folded into one table of joint cells, x major.
 
     ``f[l]`` and ``est[l]`` list term l's function factor and posterior-mean
-    factor over the table's sources, per cell.  ``groups`` are the runs of
-    sources that draw together (see the module notes), each as its
-    (weights, B).
+    factor per cell over the table's sources but the last, and ``last``
+    holds the last source's (f, est) once a source is folded in: the full
+    columns are their outer products, which only a system of several tables
+    builds (``columns``).  ``groups`` are the runs of sources that draw
+    together (see the module notes), each as its (weights, B).
     """
 
     def __init__(self, group, f, est):
         self.size = len(group[0])
-        self.groups, self.f, self.est = [group], f, est
+        self.groups, self.f, self.est, self.last = [group], f, est, None
 
     def fold(self, group, f, est) -> None:
         self.size *= len(group[0])
-        self.f = list(map(_outer, self.f, f))
-        self.est = list(map(_outer, self.est, est))
+        self.f, self.est = self.columns()
+        self.last = f, est
         weights, buckets = self.groups[-1]
         if buckets * group[1] <= FOLD_CELLS:
             self.groups[-1] = (_outer(weights, group[0]), buckets * group[1])
         else:
             self.groups.append(group)
+
+    def columns(self) -> tuple[list, list]:
+        """Per term, the function and posterior-mean factors of every cell."""
+        if self.last is None:
+            return self.f, self.est
+        f, est = self.last
+        return list(map(_outer, self.f, f)), list(map(_outer, self.est, est))
+
+    def squared_errors(self) -> array:
+        """Every cell's squared error, one row or one stride of cells at a
+        time: the full per-term columns are never built.  Each product,
+        sum and square is the one the full columns would give, in the same
+        order, so the errors are the same bit for bit."""
+        if self.last is None:
+            return _squares(self.f, self.est)
+        f, est = self.last
+        n = len(f[0])
+        rows = self.size // n
+        if n > rows:
+            # Few earlier cells: row i is contiguous, x * y for each y.
+            out = array("d")
+            for i in range(rows):
+                out += _squares([map(mul, repeat(x[i]), y) for x, y in zip(self.f, f)],
+                                [map(mul, repeat(x[i]), y) for x, y in zip(self.est, est)])
+            return out
+        # Few last-source cells: cell j of every row is a stride of n.
+        out = array("d", bytes(8 * self.size))
+        for j in range(n):
+            out[j::n] = _squares([map(mul, x, repeat(y[j])) for x, y in zip(self.f, f)],
+                                 [map(mul, x, repeat(y[j])) for x, y in zip(self.est, est)])
+        return out
 
     def picker(self, column=None):
         """(uniforms per group) -> ``column`` at the drawn cells (the cells
@@ -207,14 +260,13 @@ def _tables(system: JointSystem) -> tuple[Scalar, list[_Table]]:
 def _errors(tables: list[_Table]):
     """(uniforms per group) -> the trials' squared errors."""
     if len(tables) == 1:
-        (t,) = tables
-        e = map(sub, reduce(partial(map, add), t.f), reduce(partial(map, add), t.est))
-        pick = t.picker(array("d", [x * x for x in e]))
+        pick = tables[0].picker(tables[0].squared_errors())
         return lambda uss: list(pick(uss))
 
     picks = [(t.picker(), len(t.groups)) for t in tables]
-    f_terms = list(zip(*(t.f for t in tables)))
-    est_terms = list(zip(*(t.est for t in tables)))
+    full = [t.columns() for t in tables]
+    f_terms = list(zip(*(f for f, _ in full)))
+    est_terms = list(zip(*(est for _, est in full)))
 
     def product(columns, cells):
         return reduce(partial(map, mul), map(map, [c.__getitem__ for c in columns], cells))
@@ -224,8 +276,7 @@ def _errors(tables: list[_Table]):
         cells = [list(pick(list(islice(uss, k)))) for pick, k in picks]
         f = reduce(partial(map, add), (product(cols, cells) for cols in f_terms))
         est = reduce(partial(map, add), (product(cols, cells) for cols in est_terms))
-        e = list(map(sub, f, est))
-        return list(map(mul, e, e))
+        return [x * x for x in map(sub, f, est)]
 
     return errors
 
@@ -260,13 +311,12 @@ def simulate(config: SimConfig) -> SimReport:
     shift = float(analytic)
     sums, dev_sums, dev_squares = [], [], []
     for s, size in enumerate(_stream_sizes(config.trials)):
-        draw = Random(config.seed << 32 | s).random
-        us = list(starmap(draw, repeat((), size * groups)))
-        err = errors([us[g::groups] for g in range(groups)])
+        err = errors(_uniforms(Random(config.seed << 32 | s).random, size, groups))
         dev = list(map(sub, err, repeat(shift)))
-        sums.append(sum(err))
-        dev_sums.append(sum(dev))
-        dev_squares.append(sum(map(mul, dev, dev)))
+        sums.append(math.fsum(err))
+        dev_sums.append(math.fsum(dev))
+        dev_squares.append(math.fsum(map(mul, dev, dev)))
+        del err, dev  # freed before the next block draws
     n = config.trials
     d1 = math.fsum(dev_sums)
     empirical = math.fsum(sums) / n
