@@ -34,6 +34,7 @@ _EXPORTS = {
     "code_from_dict": "model",
     "code_to_dict": "model",
     "complete_key_assignment": "encoders",
+    "decay_bounds": "analysis",
     "delta_closed_form": "analysis",
     "exchange_binning": "encoders",
     "greedy_code": "encoders",
@@ -43,7 +44,9 @@ _EXPORTS = {
     "make_alphabet": "model",
     "max_distortion": "analysis",
     "necessity_witness": "multisource",
+    "parse_rational": "model",
     "product_function": "multisource",
+    "scalar_from_json": "model",
     "simulate": "simulation",
     "sum_function": "multisource",
     "verify_structure": "search",

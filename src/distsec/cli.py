@@ -13,59 +13,24 @@ import argparse
 import math
 import os
 import sys
-from importlib import import_module
 
-from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError
+from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES
 
-# The library names the handlers call, by module.  Parsing needs none of
-# them, so none is imported up front: before a handler runs, ``main`` binds
-# the names of the modules its subcommand lists (``layers`` in
-# ``build_parser``), and each sweep pool worker binds the same list when it
-# starts.  A handler may call only names from its subcommand's layers: a
-# global lookup inside this module does not reach ``__getattr__``, which
-# serves attribute access from outside (``getattr(cli, name)``) only.  A name
-# already set on this module, say by a tracer that wraps it, is left as it is.
-_LIBRARY = {
-    "analysis": ("bound_report", "decay_bounds"),
-    "encoders": ("complete_key_assignment", "exchange_binning", "greedy_code", "identity_code"),
-    "model": (
-        "KeyedCode",
-        "SourceAlphabet",
-        "alphabet_from_dict",
-        "alphabet_to_dict",
-        "code_from_dict",
-        "code_to_dict",
-        "make_alphabet",
-        "parse_rational",
-        "scalar_from_json",
-    ),
-    "multisource": ("JointSystem", "SeparableFunction", "joint_distortion"),
-    "search": ("brute_force_optimal",),
-    "simulation": ("SimConfig", "simulate"),
-}
-_OWNER = {name: module for module, names in _LIBRARY.items() for name in names}
-
-
-def _bind(module: str) -> None:
-    """Import ``module`` and bind the names the handlers take from it."""
-    lib = import_module(f".{module}", __package__)
-    for name in _LIBRARY[module]:
-        globals().setdefault(name, getattr(lib, name))
-
-
-def _bind_layers(layers) -> None:
-    """Bind the names of each module in ``layers``.  Also a pool worker's
-    initializer: a worker started by spawn or forkserver imports this module
-    afresh, with no layer bound."""
-    for module in layers:
-        _bind(module)
+# The handlers read each library name as an attribute of this module when
+# they call it (``_lib.bound_report(...)``), never as a bare global.  A name
+# not set here is the package's export of that name, whose module is
+# imported on first use: a run loads only the layers its subcommand calls,
+# and a pool worker started by spawn or forkserver finds its names the same
+# way.  A name set on this module, say by a tracer that wraps it, is the one
+# the handlers call.
+_lib = sys.modules[__name__]
+_package = sys.modules[__package__]
 
 
 def __getattr__(name):
-    if name not in _OWNER:
+    if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _bind(_OWNER[name])
-    return globals()[name]
+    return getattr(_package, name)
 
 
 # Largest m * 2**k (value, key) table a construction may build.  At the cap,
@@ -167,7 +132,7 @@ def _parse_token(tok: str, exact: bool):
     except ValueError:
         pass
     if "/" in tok or exact:
-        return parse_rational(tok)
+        return _lib.parse_rational(tok)
     try:
         return float(tok)
     except ValueError as e:
@@ -192,7 +157,7 @@ def _parse_int_range(text: str) -> list[int]:
         if hi < lo:
             raise ValueError(f"empty range {text!r}")
         if hi - lo + 1 > CONSTRUCTION_CAP:
-            raise CapExceededError(
+            raise _lib.CapExceededError(
                 f"range {text!r} has {hi - lo + 1} entries, above the cap of {CONSTRUCTION_CAP}"
             )
         return list(range(lo, hi + 1))
@@ -208,7 +173,7 @@ def _read_json(path: str, exact: bool):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             if exact:
-                return json.load(fh, parse_float=parse_rational)
+                return json.load(fh, parse_float=_lib.parse_rational)
             return json.load(fh)
     except OSError as e:
         raise ValueError(f"cannot read {path}: {e}") from e
@@ -228,20 +193,20 @@ def _load_alphabet(args) -> SourceAlphabet:
         if pmf is not None and isinstance(doc, dict):
             doc = dict(doc, pmf=pmf)  # the flag overrides the file's pmf
         try:
-            return alphabet_from_dict(doc)
+            return _lib.alphabet_from_dict(doc)
         except ValueError as e:
             raise ValueError(f"{text[1:]}: {e}") from e
     if ".." in text and "," not in text:
         values = _parse_int_range(text)
     else:
         values = _parse_number_list(text, args.exact)
-    return make_alphabet(values, pmf)
+    return _lib.make_alphabet(values, pmf)
 
 
 def _load_code(path: str) -> KeyedCode:
     doc = _read_json(path, exact=False)  # a code document holds only integers
     try:
-        return code_from_dict(doc)
+        return _lib.code_from_dict(doc)
     except ValueError as e:
         raise ValueError(f"{path}: {e}") from e
 
@@ -302,8 +267,8 @@ def _alphabet_row(
 ) -> list[str]:
     """The report row of one code on a single source; ``row_id`` is the
     alphabet's content id."""
-    report = bound_report(code, alphabet)
-    bounds = decay_bounds(alphabet, code.k, report.d_max)
+    report = _lib.bound_report(code, alphabet)
+    bounds = _lib.decay_bounds(alphabet, code.k, report.d_max)
     return _report_row(row_id, alphabet.m, code.k, alg, seed, report, bounds)
 
 
@@ -312,7 +277,7 @@ def _check_construction(m: int, k: int) -> None:
     before any table is built."""
     # 2**21 alone exceeds the cap, so a larger k is refused without forming 2**k.
     if k > 20 or m * 2 ** max(k, 0) > CONSTRUCTION_CAP:
-        raise CapExceededError(
+        raise _lib.CapExceededError(
             f"construction needs m*2**k = {m}*2**{k} (value, key) states, "
             f"above the cap of {CONSTRUCTION_CAP}"
         )
@@ -322,13 +287,13 @@ def _build_code(alg: str, alphabet: SourceAlphabet, k: int, seed: int) -> KeyedC
     """``alg`` is greedy, exchange or identity: argparse and _cmd_sweep check."""
     _check_construction(alphabet.m, 0 if alg == "identity" else k)
     if alg == "greedy":
-        return greedy_code(alphabet, k)
+        return _lib.greedy_code(alphabet, k)
     if alg == "exchange":
-        binning = exchange_binning(alphabet, k, seed=seed)
-        return complete_key_assignment(binning, k)
+        binning = _lib.exchange_binning(alphabet, k, seed=seed)
+        return _lib.complete_key_assignment(binning, k)
     if k not in (0, None):
         raise ValueError("identity is the k=0 code")
-    return identity_code(alphabet.m)
+    return _lib.identity_code(alphabet.m)
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -340,21 +305,20 @@ def _cmd_encode(args) -> int:
     if args.alg != "identity" and args.k is None:
         raise CliError("--k is required for greedy and exchange")
     code = _build_code(args.alg, alphabet, args.k, args.seed)
-    _write_text(args.output, json.dumps(code_to_dict(code), indent=2) + "\n")
+    _write_text(args.output, json.dumps(_lib.code_to_dict(code), indent=2) + "\n")
     return 0
 
 
 def _cmd_analyze(args) -> int:
     alphabet = _load_alphabet(args)
     code = _load_code(args.code)
-    row = _alphabet_row(_content_id(alphabet_to_dict(alphabet)), code, alphabet, "na", None)
+    row = _alphabet_row(_content_id(_lib.alphabet_to_dict(alphabet)), code, alphabet, "na", None)
     _write_text(args.output, _csv_text(REPORT_COLUMNS, [row]))
     return 0
 
 
 def _cmd_search(args) -> int:
     import json
-    from fractions import Fraction
 
     alphabet = _load_alphabet(args)
     r_range = None
@@ -362,7 +326,7 @@ def _cmd_search(args) -> int:
         if args.r_lo is None or args.r_hi is None:
             raise CliError("--r-lo and --r-hi go together")
         r_range = (args.r_lo, args.r_hi)
-    result = brute_force_optimal(
+    result = _lib.brute_force_optimal(
         alphabet,
         args.k,
         r_range=r_range,
@@ -372,14 +336,12 @@ def _cmd_search(args) -> int:
     doc = {
         "version": 1,
         "best_delta": float(result.best_delta),
-        "best_delta_exact": str(result.best_delta)
-        if isinstance(result.best_delta, (int, Fraction))
-        else None,
+        "best_delta_exact": str(result.best_delta) if alphabet.exact else None,
         "candidates_examined": result.candidates_examined,
         "pruned": result.pruned,
         "bound_cuts": result.bound_cuts,
         "exhaustive": True,  # pruning only drops dominated binnings
-        "best_code": code_to_dict(result.best_code),
+        "best_code": _lib.code_to_dict(result.best_code),
     }
     # allow_nan=False: a non-finite number is not JSON, so it exits 3
     _write_text(args.output, json.dumps(doc, indent=2, allow_nan=False) + "\n")
@@ -403,7 +365,7 @@ def _parse_system(doc, base_dir: str) -> JointSystem:
     for field in ("sources", "codes"):
         if not isinstance(doc[field], list):
             raise ValueError(f"system config field {field!r} must be a list")
-    sources = tuple(alphabet_from_dict(d) for d in doc["sources"])
+    sources = tuple(_lib.alphabet_from_dict(d) for d in doc["sources"])
     codes = []
     for entry in doc["codes"]:
         if isinstance(entry, str):
@@ -411,7 +373,7 @@ def _parse_system(doc, base_dir: str) -> JointSystem:
         elif isinstance(entry, dict) and "path" in entry:
             path = entry["path"]
         else:
-            codes.append(code_from_dict(entry))
+            codes.append(_lib.code_from_dict(entry))
             continue
         if not isinstance(path, str):
             raise ValueError(f"code path must be a string, got {path!r}")
@@ -424,21 +386,21 @@ def _parse_system(doc, base_dir: str) -> JointSystem:
     if not _is_list_of(fn["components"], 3):
         raise ValueError("components must be a list of terms, each a list of tables")
     components = tuple(
-        tuple(tuple(scalar_from_json(t) for t in table) for table in term)
+        tuple(tuple(_lib.scalar_from_json(t) for t in table) for table in term)
         for term in fn["components"]
     )
-    function = SeparableFunction(
+    function = _lib.SeparableFunction(
         n=len(components[0]) if components else 0,
         components=components,
         form=fn.get("form", "general-sum-of-products"),
     )
-    return JointSystem(sources=sources, codes=tuple(codes), function=function)
+    return _lib.JointSystem(sources=sources, codes=tuple(codes), function=function)
 
 
 def _cmd_compose(args) -> int:
     doc = _read_json(args.config, args.exact)
     system = _parse_system(doc, os.path.dirname(os.path.abspath(args.config)))
-    report = joint_distortion(system)
+    report = _lib.joint_distortion(system)
     row = _report_row(
         _content_id(doc),
         math.prod(a.m for a in system.sources),
@@ -460,7 +422,7 @@ def _cmd_simulate(args) -> int:
     else:
         alphabet = _load_alphabet(args)
         target = (_load_code(args.code), alphabet)
-    report = simulate(SimConfig(trials=args.trials, seed=args.seed, target=target))
+    report = _lib.simulate(_lib.SimConfig(trials=args.trials, seed=args.seed, target=target))
     rows = [[
         str(report.trials),
         str(report.seed),
@@ -494,7 +456,7 @@ def _cmd_sweep(args) -> int:
     # Rows use the alphabet as loaded; a rebuilt one could change arithmetic
     # domain (a float pmf equal to 1/m would come back exact).  Its id is
     # hashed once, here, before any worker starts.
-    row_id = _content_id(alphabet_to_dict(alphabet))
+    row_id = _content_id(_lib.alphabet_to_dict(alphabet))
     specs = []
     for k in args.k:
         for alg in algs:
@@ -507,8 +469,7 @@ def _cmd_sweep(args) -> int:
     work = sum(alphabet.m * 2 ** (0 if alg == "identity" else k) for _, _, k, alg, _ in specs)
     if workers > 1 and work >= POOL_BREAK_EVEN:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers, initializer=_bind_layers,
-                                 initargs=(args.layers,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, specs))
     else:
         rows = [_sweep_row(spec) for spec in specs]
@@ -545,13 +506,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True, help="comma list, lo..hi range, or @file.json")
     p.add_argument("--pmf", default=None, help="comma list of probabilities")
     p.add_argument("--k", type=int, default=None, help="key bits")
-    p.set_defaults(func=_cmd_encode, layers=("model", "encoders"))
+    p.set_defaults(func=_cmd_encode)
 
     p = sub.add_parser("analyze", parents=[common], help="distortion report for a code")
     p.add_argument("--code", required=True, help="code JSON file")
     p.add_argument("--values", required=True)
     p.add_argument("--pmf", default=None)
-    p.set_defaults(func=_cmd_analyze, layers=("model", "analysis"))
+    p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("search", parents=[common], help="brute-force optimal code")
     p.add_argument("--values", required=True)
@@ -565,11 +526,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--force", action="store_true",
                    help=f"search beyond the caps m <= {MAX_M}, k <= {MAX_K} "
                    f"and, with --no-prune, m*2**k <= {MAX_UNPRUNED_COPIES}")
-    p.set_defaults(func=_cmd_search, layers=("model", "search"))
+    p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("compose", parents=[common], help="analyze a multi-source system")
     p.add_argument("--config", required=True, help="system JSON config")
-    p.set_defaults(func=_cmd_compose, layers=("model", "multisource"))
+    p.set_defaults(func=_cmd_compose)
 
     p = sub.add_parser("simulate", parents=[common], help="Monte Carlo check")
     p.add_argument("--code", default=None)
@@ -577,7 +538,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pmf", default=None)
     p.add_argument("--system", default=None, help="system JSON config")
     p.add_argument("--trials", type=int, default=100_000)
-    p.set_defaults(func=_cmd_simulate, layers=("model", "multisource", "simulation"))
+    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("sweep", parents=[common], help="report grid over k and algorithms")
     p.add_argument("--values", required=True)
@@ -586,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alg", required=True, help="comma list from greedy,exchange,identity")
     p.add_argument("--seeds", type=_parse_seeds, default=None,
                    help="comma list of seeds (default: --seed)")
-    p.set_defaults(func=_cmd_sweep, layers=("model", "encoders", "analysis"))
+    p.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -594,12 +555,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _bind_layers(args.layers)
         return args.func(args)
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except CapExceededError as e:
+    except _lib.CapExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except (ValueError, OverflowError) as e:

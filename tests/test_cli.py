@@ -15,6 +15,7 @@ import io
 import json
 import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
 import tempfile
@@ -33,6 +34,8 @@ import distsec.cli
 from distsec import (
     DistortionReport,
     JointSystem,
+    SeparableFunction,
+    alphabet_from_dict,
     code_from_dict,
     code_to_dict,
     delta_closed_form,
@@ -282,14 +285,13 @@ def test_sweep_jobs_flag_is_equivalent(capsys, tmp_path, monkeypatch):
 
 def test_sweep_pool_is_bounded_by_rows_and_cpus(capsys, tmp_path, monkeypatch):
     # A pool starts all its workers at once; --jobs 100000 must not ask for
-    # 100000 of them.  The stand-in records the size, runs the worker
-    # initializer once and maps serially.
+    # 100000 of them.  The stand-in records the size and maps serially; it
+    # takes the size alone, as the CLI builds the pool with nothing else.
     sizes = []
 
     class SerialPool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -405,14 +407,15 @@ def test_cold_start_loads_only_the_layers_a_subcommand_calls(tmp_path):
         assert {m for m in loaded if m.startswith("distsec")} <= {
             "distsec", "distsec.cli", "distsec.caps"}, argv
         assert not {"dataclasses", "fractions", "json"} & loaded, argv
-    rc, _, loaded = run_fresh("search", "--values", "1,2,3", "--k", "1")
-    assert rc == 0 and "distsec.search" in loaded
-    assert not {"distsec.analysis", "distsec.multisource", "distsec.simulation"} & loaded
-    code = tmp_path / "code.json"
-    code.write_text(json.dumps(code_to_dict(greedy_code(QUAD, 1))))
-    rc, _, loaded = run_fresh("analyze", "--code", str(code), "--values", "1..4")
-    assert rc == 0 and "distsec.analysis" in loaded
-    assert not {"distsec.search", "distsec.multisource", "distsec.simulation"} & loaded
+    # Each subcommand loads exactly the layers README's Install paragraph
+    # lists for it, the ones its modules import included.  The CLI itself
+    # runs as __main__.
+    _write_system(tmp_path)
+    for command, layers in _LAYERS.items():
+        rc, _, loaded = run_fresh(*_ONE_RUN[command].format(tmp=tmp_path).split())
+        assert rc == 0, command
+        assert {m for m in loaded if m.startswith("distsec.")} == {
+            "distsec.caps", *(f"distsec.{layer}" for layer in layers)}, command
 
 
 # One small valid run of each subcommand; {tmp} holds _write_system's files.
@@ -423,6 +426,17 @@ _ONE_RUN = {
     "compose": "compose --config {tmp}/system.json",
     "simulate": "simulate --code {tmp}/code.json --values 1..4 --trials 1000",
     "sweep": "sweep --values 1..5 --k 0..2 --alg greedy,exchange,identity",
+}
+
+
+# The library modules each run of _ONE_RUN loads.
+_LAYERS = {
+    "encode": ("model", "encoders"),
+    "analyze": ("model", "analysis"),
+    "search": ("model", "encoders", "search"),
+    "compose": ("model", "analysis", "multisource"),
+    "simulate": ("model", "analysis", "multisource", "simulation"),
+    "sweep": ("model", "encoders", "analysis"),
 }
 
 
@@ -491,6 +505,68 @@ def test_a_name_set_on_the_cli_before_main_is_the_one_its_handler_calls():
     )
     assert done.stderr == "0 [1] True\n"
     assert json.loads(done.stdout) == code_to_dict(greedy_code(QUAD, 1))
+
+
+_HELPERS = """
+import json, pickle, sys
+from distsec import cli, make_alphabet
+with open(sys.argv[1]) as fh:
+    system = cli._parse_system(json.load(fh), sys.argv[2])
+code = cli._build_code("greedy", make_alphabet([1, 2, 3, 4]), 1, 0)
+sys.stdout.buffer.write(pickle.dumps((system, code)))
+"""
+
+
+def test_cli_helpers_run_from_a_script_without_main(tmp_path):
+    # A script may call the CLI's helpers directly: no library name may
+    # wait on main to be bound.  Only a fresh interpreter shows this.
+    path = _write_system(tmp_path)
+    done = subprocess.run(
+        [sys.executable, "-c", _HELPERS, str(path), str(tmp_path)],
+        capture_output=True, timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+    )
+    assert done.stderr == b""
+    system, code = pickle.loads(done.stdout)
+    doc = json.loads(path.read_text())
+    components = doc["function"]["components"]
+    assert system == JointSystem(
+        sources=tuple(map(alphabet_from_dict, doc["sources"])),
+        codes=(greedy_code(QUAD, 1),) * 2,
+        function=SeparableFunction(
+            n=2, components=tuple(tuple(map(tuple, term)) for term in components),
+            form="pure-sum",
+        ),
+    )
+    assert code == greedy_code(QUAD, 1)
+
+
+def _annotations(tree):
+    """Every node inside an annotation of ``tree``."""
+    for node in ast.walk(tree):
+        ann = getattr(node, "annotation", None) or getattr(node, "returns", None)
+        if ann is not None:
+            yield from ast.walk(ann)
+
+
+def test_cli_reads_every_library_name_through_its_module():
+    # A handler reads a library name as ``_lib.name``: a bare global read
+    # raises NameError, as nothing binds it, and would miss a wrapper a
+    # tracer sets on the module.  A name passed as a value counts as much as
+    # a call (json.load's parse_float).  Annotations are exempt: under
+    # ``from __future__ import annotations`` none is evaluated.
+    tree = ast.parse(Path(distsec.cli.__file__).read_text())
+    future = {a.name for node in tree.body if isinstance(node, ast.ImportFrom)
+              and node.module == "__future__" for a in node.names}
+    assert "annotations" in future
+    exempt = {id(node) for node in _annotations(tree)}
+    bare = [
+        (node.lineno, node.id)
+        for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        and node.id in distsec.__all__ and id(node) not in exempt
+    ]
+    assert bare == []
 
 
 def test_sweep_rows_match_encode_and_analyze_on_a_uniform_float_pmf(capsys, tmp_path):
