@@ -49,6 +49,7 @@ _EXPORTS = {
     "scalar_from_json": "model",
     "simulate": "simulation",
     "sum_function": "multisource",
+    "system_from_dict": "multisource",
     "verify_structure": "search",
 }
 

@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES
+from .caps import CONSTRUCTION_CAP, MAX_K, MAX_M, MAX_UNPRUNED_COPIES, check_construction
 
 # The handlers read each library name as an attribute of this module when
 # they call it (``_lib.bound_report(...)``), never as a bare global.  A name
@@ -33,9 +33,6 @@ def __getattr__(name):
     return getattr(_package, name)
 
 
-# Largest m * 2**k (value, key) table a construction may build.  At the cap,
-# exchange plus completion takes under 20 s.
-CONSTRUCTION_CAP = 1_000_000
 # A sweep whose rows hold fewer (value, key) pairs than this in total runs
 # in process whatever --jobs is: below it, starting a pool costs more than
 # the second worker saves.  Measured on 2 CPUs with `sweep --values 1..N
@@ -211,6 +208,14 @@ def _load_code(path: str) -> KeyedCode:
         raise ValueError(f"{path}: {e}") from e
 
 
+def _load_system(path: str, exact: bool) -> tuple[dict, JointSystem]:
+    """The system config at ``path`` and its system; a code path in it is
+    relative to the config's directory."""
+    doc = _read_json(path, exact)
+    base_dir = os.path.dirname(os.path.abspath(path))
+    return doc, _lib.system_from_dict(doc, lambda p: _load_code(os.path.join(base_dir, p)))
+
+
 def _content_id(doc) -> str:
     """A report row's id: the first 12 hex digits of the SHA-1 of ``doc`` as
     sorted-key JSON."""
@@ -272,28 +277,18 @@ def _alphabet_row(
     return _report_row(row_id, alphabet.m, code.k, alg, seed, report, bounds)
 
 
-def _check_construction(m: int, k: int) -> None:
-    """Refuse a construction of more than CONSTRUCTION_CAP (value, key) pairs
-    before any table is built."""
-    # 2**21 alone exceeds the cap, so a larger k is refused without forming 2**k.
-    if k > 20 or m * 2 ** max(k, 0) > CONSTRUCTION_CAP:
-        raise _lib.CapExceededError(
-            f"construction needs m*2**k = {m}*2**{k} (value, key) states, "
-            f"above the cap of {CONSTRUCTION_CAP}"
-        )
-
-
 def _build_code(alg: str, alphabet: SourceAlphabet, k: int, seed: int) -> KeyedCode:
-    """``alg`` is greedy, exchange or identity: argparse and _cmd_sweep check."""
-    _check_construction(alphabet.m, 0 if alg == "identity" else k)
+    """``alg`` is greedy, exchange or identity: argparse and _cmd_sweep check.
+    Each construction refuses a table over the construction cap first."""
     if alg == "greedy":
         return _lib.greedy_code(alphabet, k)
     if alg == "exchange":
         binning = _lib.exchange_binning(alphabet, k, seed=seed)
         return _lib.complete_key_assignment(binning, k)
+    code = _lib.identity_code(alphabet.m)
     if k not in (0, None):
         raise ValueError("identity is the k=0 code")
-    return _lib.identity_code(alphabet.m)
+    return code
 
 
 # --- subcommand handlers ---------------------------------------------------
@@ -348,58 +343,8 @@ def _cmd_search(args) -> int:
     return 0
 
 
-def _is_list_of(x, depth: int) -> bool:
-    """True when ``x`` is a list nested ``depth`` levels deep."""
-    if not isinstance(x, list):
-        return False
-    return depth == 1 or all(_is_list_of(item, depth - 1) for item in x)
-
-
-def _parse_system(doc, base_dir: str) -> JointSystem:
-    version = doc.get("version") if isinstance(doc, dict) else None
-    if isinstance(version, bool) or version != 1:
-        raise ValueError("system config must be a JSON object with version: 1")
-    for field in ("sources", "codes", "function"):
-        if field not in doc:
-            raise ValueError(f"system config missing field {field!r}")
-    for field in ("sources", "codes"):
-        if not isinstance(doc[field], list):
-            raise ValueError(f"system config field {field!r} must be a list")
-    sources = tuple(_lib.alphabet_from_dict(d) for d in doc["sources"])
-    codes = []
-    for entry in doc["codes"]:
-        if isinstance(entry, str):
-            path = entry
-        elif isinstance(entry, dict) and "path" in entry:
-            path = entry["path"]
-        else:
-            codes.append(_lib.code_from_dict(entry))
-            continue
-        if not isinstance(path, str):
-            raise ValueError(f"code path must be a string, got {path!r}")
-        if not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
-        codes.append(_load_code(path))
-    fn = doc["function"]
-    if not isinstance(fn, dict) or "components" not in fn:
-        raise ValueError("function must be an object with components")
-    if not _is_list_of(fn["components"], 3):
-        raise ValueError("components must be a list of terms, each a list of tables")
-    components = tuple(
-        tuple(tuple(_lib.scalar_from_json(t) for t in table) for table in term)
-        for term in fn["components"]
-    )
-    function = _lib.SeparableFunction(
-        n=len(components[0]) if components else 0,
-        components=components,
-        form=fn.get("form", "general-sum-of-products"),
-    )
-    return _lib.JointSystem(sources=sources, codes=tuple(codes), function=function)
-
-
 def _cmd_compose(args) -> int:
-    doc = _read_json(args.config, args.exact)
-    system = _parse_system(doc, os.path.dirname(os.path.abspath(args.config)))
+    doc, system = _load_system(args.config, args.exact)
     report = _lib.joint_distortion(system)
     row = _report_row(
         _content_id(doc),
@@ -417,8 +362,9 @@ def _cmd_simulate(args) -> int:
     if (args.system is None) == (args.code is None):
         raise CliError("give exactly one of --code or --system")
     if args.system is not None:
-        doc = _read_json(args.system, args.exact)
-        target = _parse_system(doc, os.path.dirname(os.path.abspath(args.system)))
+        if args.values is not None or args.pmf is not None:
+            raise CliError("--values and --pmf go with --code, not --system")
+        _, target = _load_system(args.system, args.exact)
     else:
         alphabet = _load_alphabet(args)
         target = (_load_code(args.code), alphabet)
@@ -451,7 +397,7 @@ def _cmd_sweep(args) -> int:
             raise CliError(f"unknown algorithm {alg!r}")
     seeds = args.seeds or [args.seed]
     keyed = any(alg != "identity" for alg in algs)
-    _check_construction(alphabet.m, max(args.k) if keyed else 0)
+    check_construction(alphabet.m, max(args.k) if keyed else 0)
 
     # Rows use the alphabet as loaded; a rebuilt one could change arithmetic
     # domain (a float pmf equal to 1/m would come back exact).  Its id is

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import insort
 from random import Random
 
+from .caps import check_construction
 from .model import KeyedCode, SourceAlphabet, frozen, integer_view
 
 _SWAP_LIMIT = 1_000_000
@@ -75,8 +76,10 @@ def identity_code(m: int) -> KeyedCode:
 
     Offers no secrecy; the eavesdropper decodes exactly, so her achievable
     distortion is zero.  Useful as the k=0 baseline and as the deliberately
-    insecure component in multi-source necessity experiments.
+    insecure component in multi-source necessity experiments.  More than
+    ``caps.CONSTRUCTION_CAP`` values raise CapExceededError.
     """
+    check_construction(m, 0)
     return KeyedCode(m=m, k=0, r=m, assignment=(tuple(range(m)),))
 
 
@@ -94,8 +97,11 @@ def greedy_code(alphabet: SourceAlphabet, k: int) -> KeyedCode:
     key, so each bin ends up with 2**k elements.  The sums are exact for
     every alphabet, floats included: integers over the values' common
     denominator (``model.integer_view``), so a float alphabet gets the code
-    of the exact numbers it holds.
+    of the exact numbers it holds.  A code of more than
+    ``caps.CONSTRUCTION_CAP`` (value, key) pairs raises CapExceededError
+    before anything is built.
     """
+    check_construction(alphabet.m, k)
     if k < 0:
         raise ValueError("key bit count must be >= 0")
     m = alphabet.m
@@ -146,11 +152,14 @@ def exchange_binning(
 
     Args:
         alphabet: must be uniform.
-        k: key bits; each bin receives exactly 2**k copies.
+        k: key bits; each bin receives exactly 2**k copies.  More than
+            ``caps.CONSTRUCTION_CAP`` copies in all raise CapExceededError
+            before any other check.
         r: bin count; None means m, anything else is rejected.
         seed: a non-negative integer; fixes the initial random partition,
             and with it the result.
     """
+    check_construction(alphabet.m, k)
     if k < 0:
         raise ValueError("key bit count must be >= 0")
     if not alphabet.is_uniform():

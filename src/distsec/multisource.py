@@ -30,6 +30,7 @@ import math
 
 from .analysis import DistortionReport, _BinMoments, _bin_moments, _limit, _rounded
 from .model import KeyedCode, Scalar, SourceAlphabet, frozen
+from .model import alphabet_from_dict, code_from_dict, scalar_from_json
 
 FORMS = ("general-sum-of-products", "pure-sum", "pure-product")
 
@@ -141,6 +142,64 @@ class JointSystem:
         for alpha, code in zip(self.sources, self.codes):
             states *= alpha.m * code.key_count
         return states
+
+
+def _is_list_of(x, depth: int) -> bool:
+    """True when ``x`` is a list nested ``depth`` levels deep."""
+    if not isinstance(x, list):
+        return False
+    return depth == 1 or all(_is_list_of(item, depth - 1) for item in x)
+
+
+def system_from_dict(doc, load_code=None) -> JointSystem:
+    """The system a version-1 system document describes.
+
+    ``sources`` holds alphabet documents and ``function`` an object whose
+    ``components[l][i]`` is factor i of term l, with an optional ``form``.
+    A ``codes`` entry is a code document, or a path to one: a string or an
+    object with a ``path`` field.  ``load_code(path)`` turns a path into a
+    KeyedCode; this function reads no file, so a document with a path and
+    no ``load_code`` raises ValueError, as does any malformed field.
+    """
+    version = doc.get("version") if isinstance(doc, dict) else None
+    if isinstance(version, bool) or version != 1:
+        raise ValueError("system config must be a JSON object with version: 1")
+    for field in ("sources", "codes", "function"):
+        if field not in doc:
+            raise ValueError(f"system config missing field {field!r}")
+    for field in ("sources", "codes"):
+        if not isinstance(doc[field], list):
+            raise ValueError(f"system config field {field!r} must be a list")
+    sources = tuple(alphabet_from_dict(d) for d in doc["sources"])
+    codes = []
+    for entry in doc["codes"]:
+        if isinstance(entry, str):
+            path = entry
+        elif isinstance(entry, dict) and "path" in entry:
+            path = entry["path"]
+        else:
+            codes.append(code_from_dict(entry))
+            continue
+        if not isinstance(path, str):
+            raise ValueError(f"code path must be a string, got {path!r}")
+        if load_code is None:
+            raise ValueError(f"code path {path!r} needs a load_code to read it")
+        codes.append(load_code(path))
+    fn = doc["function"]
+    if not isinstance(fn, dict) or "components" not in fn:
+        raise ValueError("function must be an object with components")
+    if not _is_list_of(fn["components"], 3):
+        raise ValueError("components must be a list of terms, each a list of tables")
+    components = tuple(
+        tuple(tuple(scalar_from_json(t) for t in table) for table in term)
+        for term in fn["components"]
+    )
+    function = SeparableFunction(
+        n=len(components[0]) if components else 0,
+        components=components,
+        form=fn.get("form", "general-sum-of-products"),
+    )
+    return JointSystem(sources=sources, codes=tuple(codes), function=function)
 
 
 @frozen

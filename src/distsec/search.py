@@ -133,7 +133,8 @@ def brute_force_optimal(
         force: search beyond the caps m <= MAX_M and k <= MAX_K, and
             unpruned beyond m * 2**k <= MAX_UNPRUNED_COPIES.  The space
             grows factorially, so without it such instances raise
-            CapExceededError.
+            CapExceededError.  The greedy incumbent is built under the
+            construction cap all the same.
 
     Ties between equally good binnings go to the greedy code's binning when
     r = m is in range and no binning scores strictly lower, and otherwise to

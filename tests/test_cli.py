@@ -469,9 +469,11 @@ print(rc, "concurrent.futures" in sys.modules, file=sys.stderr)
 @pytest.mark.parametrize("method", [m for m in ("spawn", "forkserver")
                                     if m in multiprocessing.get_all_start_methods()])
 def test_a_pooled_sweep_runs_under_every_start_method(method):
-    # A spawned or forkserver worker imports the CLI afresh, with none of the
-    # layers main bound in the parent; it must bind them itself.  fork, the
-    # Linux default before Python 3.14, copies the parent's and hides this.
+    # A spawned or forkserver worker imports the CLI afresh, with nothing the
+    # parent loaded.  Its handlers read each library name on the CLI module,
+    # which serves it from the package's exports, so the worker needs no
+    # initializer.  fork, the Linux default before Python 3.14, copies the
+    # parent's modules and would hide a name that only the parent had.
     argv = "sweep --values 1..5 --k 0..2 --alg greedy,exchange,identity".split()
     done = subprocess.run(
         [sys.executable, "-c", _POOLED, method, *argv, "--jobs", "2"],
@@ -508,18 +510,22 @@ def test_a_name_set_on_the_cli_before_main_is_the_one_its_handler_calls():
 
 
 _HELPERS = """
-import json, pickle, sys
-from distsec import cli, make_alphabet
+import json, os, pickle, sys
+from distsec import cli, code_from_dict, make_alphabet, system_from_dict
+def load_code(path):
+    with open(os.path.join(sys.argv[2], path)) as fh:
+        return code_from_dict(json.load(fh))
 with open(sys.argv[1]) as fh:
-    system = cli._parse_system(json.load(fh), sys.argv[2])
+    system = system_from_dict(json.load(fh), load_code)
 code = cli._build_code("greedy", make_alphabet([1, 2, 3, 4]), 1, 0)
 sys.stdout.buffer.write(pickle.dumps((system, code)))
 """
 
 
 def test_cli_helpers_run_from_a_script_without_main(tmp_path):
-    # A script may call the CLI's helpers directly: no library name may
-    # wait on main to be bound.  Only a fresh interpreter shows this.
+    # A script may read a system document through the library and call the
+    # CLI's helpers directly: no library name may wait on main to be bound.
+    # Only a fresh interpreter shows this.
     path = _write_system(tmp_path)
     done = subprocess.run(
         [sys.executable, "-c", _HELPERS, str(path), str(tmp_path)],
@@ -1037,6 +1043,10 @@ MALFORMED = [
      "{tmp}/code_k_null.json: k must be an integer, got None"),
     ("simulate --system {tmp}/sys_huge.json --trials 64", 3,
      "integer division result too large for a float"),
+    ("simulate --system {tmp}/system.json --values 1,2,3,4", 2,
+     "--values and --pmf go with --code, not --system"),
+    ("simulate --system {tmp}/system.json --pmf 0.5,0.5", 2,
+     "--values and --pmf go with --code, not --system"),
     ("sweep --values 1..4 --k 5..1 --alg greedy", 2, "argument --k: empty range '5..1'"),
     ("sweep --values 1..4 --k 1 --alg sneaky", 2, "unknown algorithm 'sneaky'"),
     ("sweep --values 1..4 --k=-1 --alg greedy", 2, "argument --k: key bit counts must be >= 0"),
@@ -1069,6 +1079,24 @@ def test_malformed_input_exit_code_and_message(capsys, tmp_path, line, code, mes
     rc, out, err = run(capsys, *argv)
     assert (rc, out) == (code, "")
     assert err == "error: " + message.replace("{tmp}", str(tmp_path)) + "\n"
+
+
+# The rows whose config is read and refused by ``system_from_dict``.
+SYSTEM_ROWS = [row for row in MALFORMED
+               if row[0].startswith("compose --config {tmp}/sys_") and "sys_huge" not in row[0]]
+
+
+@pytest.mark.parametrize("line, code, message", SYSTEM_ROWS, ids=[m[0] for m in SYSTEM_ROWS])
+def test_the_library_refuses_each_malformed_system_config_with_the_cli_message(
+    tmp_path, line, code, message
+):
+    _malformed_fixtures(tmp_path)
+    path = line.split()[-1].replace("{tmp}", str(tmp_path))
+    doc = json.loads(Path(path).read_text())
+    with pytest.raises(ValueError) as info:
+        distsec.system_from_dict(doc, lambda p: distsec.cli._load_code(str(tmp_path / p)))
+    assert code == 3
+    assert str(info.value) == message.replace("{tmp}", str(tmp_path))
 
 
 # --- fuzzing the system-config boundary --------------------------------------

@@ -16,6 +16,7 @@ import distsec
 from conftest import binning_of, exchange_reference
 from distsec import (
     Binning,
+    CapExceededError,
     complete_key_assignment,
     delta_closed_form,
     exchange_binning,
@@ -199,12 +200,33 @@ def test_exchange_settles_within_the_spread_where_float_sums_near_tie():
 def test_the_seeded_shuffle_refuses_negative_seeds_and_over_2_32_copies():
     with pytest.raises(ValueError, match="2\\*\\*32"):
         _seeded_permutation(1, 2**32 + 1, 0)
-    with pytest.raises(ValueError, match="2\\*\\*32"):
+    with pytest.raises(CapExceededError, match="2\\*2\\*\\*32 \\(value, key\\)"):
         exchange_binning(make_alphabet([1, 2]), 32)  # refused before any copy is built
     with pytest.raises(ValueError, match="seed"):
         _seeded_permutation(2, 2, -1)
     with pytest.raises(ValueError, match="seed"):
         exchange_binning(make_alphabet([1, 2]), 1, seed=-1)
+
+
+def _cap_message(m, k):
+    return (f"construction needs m*2**k = {m}*2**{k} (value, key) states, "
+            "above the cap of 1000000")
+
+
+def test_every_construction_refuses_a_table_over_the_cap_before_building_it():
+    # 4 * 2**18 = 1048576 pairs, just over the cap; the command line reports
+    # the same message.  The cap comes before exchange's uniform check.
+    quad = make_alphabet(range(4))
+    skewed = make_alphabet(range(4), [0.7, 0.1, 0.1, 0.1])
+    for build in (greedy_code, exchange_binning):
+        for alphabet in (quad, skewed):
+            with pytest.raises(CapExceededError) as info:
+                build(alphabet, 18)
+            assert str(info.value) == _cap_message(4, 18)
+    with pytest.raises(CapExceededError) as info:
+        identity_code(10**6 + 1)
+    assert str(info.value) == _cap_message(10**6 + 1, 0)
+    assert identity_code(10**6).r == 10**6  # the cap itself is allowed
 
 
 def _alphabets():

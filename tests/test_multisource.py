@@ -21,6 +21,7 @@ from distsec import (
     SimConfig,
     bound_report,
     check_sufficiency,
+    code_to_dict,
     complete_key_assignment,
     greedy_code,
     identity_code,
@@ -31,6 +32,7 @@ from distsec import (
     product_function,
     simulate,
     sum_function,
+    system_from_dict,
 )
 from distsec.encoders import Binning
 
@@ -85,6 +87,31 @@ def test_system_validates_dimensions():
             codes=(greedy_code(QUAD, 1), greedy_code(make_alphabet([1, 2]), 1)),
             function=f,
         )
+
+
+def test_a_system_document_with_inline_codes_needs_no_loader():
+    code = greedy_code(QUAD, 1)
+    doc = {
+        "version": 1,
+        "sources": [{"values": [4, 3, 2, 1]}, {"values": ["1/2", 2], "pmf": [0.25, 0.75]}],
+        "codes": [code_to_dict(code), code_to_dict(identity_code(2))],
+        "function": {"components": [[list(VALS), [1, 1]], [[1, 1, 1, 1], ["1/3", 5]]]},
+    }
+    system = system_from_dict(doc)
+    assert system == JointSystem(
+        sources=(QUAD, make_alphabet([Fraction(1, 2), 2], [0.25, 0.75])),
+        codes=(code, identity_code(2)),
+        function=SeparableFunction(
+            n=2, components=((VALS, (1, 1)), ((1, 1, 1, 1), (Fraction(1, 3), 5))),
+        ),
+    )
+    # A code path is read through the caller's loader, never by the library.
+    loaded = []
+    doc["codes"][0] = {"path": "code.json"}
+    assert system_from_dict(doc, lambda path: loaded.append(path) or code) == system
+    assert loaded == ["code.json"]
+    with pytest.raises(ValueError, match="code path 'code.json' needs a load_code"):
+        system_from_dict(doc)
 
 
 def test_secured_sum_system_is_perfect():
