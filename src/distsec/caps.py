@@ -3,7 +3,7 @@
 Nothing here imports anything, so the command line can print the caps in
 its help and report an exceeded cap without loading the library.  ``model``
 re-exports the error, ``search`` the search caps, and the constructions in
-``encoders`` call ``check_construction``.
+``encoders`` and the search call ``check_construction``.
 """
 
 

@@ -16,14 +16,12 @@ import sys
 
 from .caps import CONSTRUCTION_CAP, MAX_K, MAX_M, MAX_UNPRUNED_COPIES, check_construction
 
-# The handlers read each library name as an attribute of this module when
-# they call it (``_lib.bound_report(...)``), never as a bare global.  A name
-# not set here is the package's export of that name, whose module is
-# imported on first use: a run loads only the layers its subcommand calls,
-# and a pool worker started by spawn or forkserver finds its names the same
-# way.  A name set on this module, say by a tracer that wraps it, is the one
-# the handlers call.
-_lib = sys.modules[__name__]
+# The handlers read each library name as they call it (``_lib.bound_report(...)``),
+# never as a bare global: first in this code's own globals, where a tracer may
+# set a wrapper on the module, then as the package's export, whose module is
+# imported on first use.  A run loads only the layers its subcommand calls; a
+# pool worker started by spawn or forkserver finds its names the same way, and
+# so does a runner that runs this code as another module (runpy, cProfile).
 _package = sys.modules[__package__]
 
 
@@ -31,6 +29,14 @@ def __getattr__(name):
     if name not in _package.__all__:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     return getattr(_package, name)
+
+
+class _Names:
+    def __getattr__(self, name):
+        return globals()[name] if name in globals() else __getattr__(name)
+
+
+_lib = _Names()
 
 
 # A sweep whose rows hold fewer (value, key) pairs than this in total runs
@@ -237,17 +243,6 @@ def _write_text(path: str | None, text: str) -> None:
             raise ValueError(f"cannot write {path}: {e}") from e
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
 def _report_row(row_id: str, m: int, k: int, alg: str, seed, report, bounds=None) -> list[str]:
     """One report CSV row; ``bounds`` is the pair ``decay_bounds`` gives,
     None where the decay bounds do not apply."""
@@ -292,29 +287,24 @@ def _build_code(alg: str, alphabet: SourceAlphabet, k: int, seed: int) -> KeyedC
 
 
 # --- subcommand handlers ---------------------------------------------------
+# Each handler returns its document, a JSON object or a CSV table as
+# (header, rows), and main writes it.
 
-def _cmd_encode(args) -> int:
-    import json
-
+def _cmd_encode(args) -> dict:
     alphabet = _load_alphabet(args)
     if args.alg != "identity" and args.k is None:
         raise CliError("--k is required for greedy and exchange")
-    code = _build_code(args.alg, alphabet, args.k, args.seed)
-    _write_text(args.output, json.dumps(_lib.code_to_dict(code), indent=2) + "\n")
-    return 0
+    return _lib.code_to_dict(_build_code(args.alg, alphabet, args.k, args.seed))
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple:
     alphabet = _load_alphabet(args)
     code = _load_code(args.code)
     row = _alphabet_row(_content_id(_lib.alphabet_to_dict(alphabet)), code, alphabet, "na", None)
-    _write_text(args.output, _csv_text(REPORT_COLUMNS, [row]))
-    return 0
+    return REPORT_COLUMNS, [row]
 
 
-def _cmd_search(args) -> int:
-    import json
-
+def _cmd_search(args) -> dict:
     alphabet = _load_alphabet(args)
     r_range = None
     if args.r_lo is not None or args.r_hi is not None:
@@ -328,7 +318,7 @@ def _cmd_search(args) -> int:
         prune=not args.no_prune,
         force=args.force,
     )
-    doc = {
+    return {
         "version": 1,
         "best_delta": float(result.best_delta),
         "best_delta_exact": str(result.best_delta) if alphabet.exact else None,
@@ -338,12 +328,9 @@ def _cmd_search(args) -> int:
         "exhaustive": True,  # pruning only drops dominated binnings
         "best_code": _lib.code_to_dict(result.best_code),
     }
-    # allow_nan=False: a non-finite number is not JSON, so it exits 3
-    _write_text(args.output, json.dumps(doc, indent=2, allow_nan=False) + "\n")
-    return 0
 
 
-def _cmd_compose(args) -> int:
+def _cmd_compose(args) -> tuple:
     doc, system = _load_system(args.config, args.exact)
     report = _lib.joint_distortion(system)
     row = _report_row(
@@ -354,11 +341,10 @@ def _cmd_compose(args) -> int:
         None,
         report,
     )
-    _write_text(args.output, _csv_text(REPORT_COLUMNS, [row]))
-    return 0
+    return REPORT_COLUMNS, [row]
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     if (args.system is None) == (args.code is None):
         raise CliError("give exactly one of --code or --system")
     if args.system is not None:
@@ -369,29 +355,26 @@ def _cmd_simulate(args) -> int:
         alphabet = _load_alphabet(args)
         target = (_load_code(args.code), alphabet)
     report = _lib.simulate(_lib.SimConfig(trials=args.trials, seed=args.seed, target=target))
-    rows = [[
+    row = [
         str(report.trials),
         str(report.seed),
         _fmt(report.analytic_dach),
         _fmt(report.empirical_dach),
         _fmt(report.stderr),
-    ]]
-    _write_text(
-        args.output,
-        _csv_text(["trials", "seed", "analytic_dach", "empirical_dach", "stderr"], rows),
-    )
-    return 0
+    ]
+    return ["trials", "seed", "analytic_dach", "empirical_dach", "stderr"], [row]
 
 
 def _sweep_row(spec) -> list[str]:
     row_id, alphabet, k, alg, seed = spec
-    code = _build_code(alg, alphabet, k if alg != "identity" else 0, seed)
-    return _alphabet_row(row_id, code, alphabet, alg, seed)
+    return _alphabet_row(row_id, _build_code(alg, alphabet, k, seed), alphabet, alg, seed)
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple:
     alphabet = _load_alphabet(args)
     algs = [a.strip() for a in args.alg.split(",") if a.strip()]
+    if not algs:
+        raise CliError("empty algorithm list")
     for alg in algs:
         if alg not in ("greedy", "exchange", "identity"):
             raise CliError(f"unknown algorithm {alg!r}")
@@ -407,20 +390,19 @@ def _cmd_sweep(args) -> int:
     for k in args.k:
         for alg in algs:
             if alg == "identity" and k != min(args.k):
-                continue  # identity has no key; one row per seed
+                continue  # identity has no key; one row per seed, at k = 0
             for seed in seeds:
-                specs.append((row_id, alphabet, k, alg, seed))
+                specs.append((row_id, alphabet, 0 if alg == "identity" else k, alg, seed))
     # More workers than rows or CPUs cannot help, and the pool starts them all.
     workers = min(args.jobs, len(specs), os.cpu_count() or 1)
-    work = sum(alphabet.m * 2 ** (0 if alg == "identity" else k) for _, _, k, alg, _ in specs)
+    work = sum(alphabet.m * 2**k for _, _, k, _, _ in specs)
     if workers > 1 and work >= POOL_BREAK_EVEN:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_sweep_row, specs))
     else:
         rows = [_sweep_row(spec) for spec in specs]
-    _write_text(args.output, _csv_text(REPORT_COLUMNS, rows))
-    return 0
+    return REPORT_COLUMNS, rows
 
 
 # --- argument wiring -------------------------------------------------------
@@ -501,7 +483,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        doc = args.func(args)
+        if isinstance(doc, dict):
+            import json
+
+            # allow_nan=False: a non-finite number is not JSON, so it exits 3
+            text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        else:
+            # No field holds a comma, a quote or a line break, so none is quoted.
+            header, rows = doc
+            text = "".join(",".join(row) + "\r\n" for row in [header, *rows])
+        _write_text(args.output, text)
+        return 0
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

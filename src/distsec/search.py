@@ -48,7 +48,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError
+from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError, check_construction
 from .encoders import Binning, complete_key_assignment, greedy_code
 from .model import KeyedCode, Scalar, SourceAlphabet, frozen, integer_view
 
@@ -133,8 +133,9 @@ def brute_force_optimal(
         force: search beyond the caps m <= MAX_M and k <= MAX_K, and
             unpruned beyond m * 2**k <= MAX_UNPRUNED_COPIES.  The space
             grows factorially, so without it such instances raise
-            CapExceededError.  The greedy incumbent is built under the
-            construction cap all the same.
+            CapExceededError.  Nothing lifts the construction cap: the
+            winner's code holds m * 2**k (value, key) pairs, so a larger
+            instance raises CapExceededError before the walk starts.
 
     Ties between equally good binnings go to the greedy code's binning when
     r = m is in range and no binning scores strictly lower, and otherwise to
@@ -163,6 +164,7 @@ def brute_force_optimal(
     if r_hi <= r_lo or r_hi <= m:
         raise ValueError(f"empty bin-count range {r_range} for m={m}")
     r_lo = max(r_lo, m)
+    check_construction(m, k)
 
     # Ranked on values centred on their mean, value i being values[i] / denom:
     # they total 0, so for a complete binning (counts total m 2**k) the sum

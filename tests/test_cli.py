@@ -10,6 +10,7 @@ import ast
 import concurrent.futures
 import contextlib
 import copy
+import csv
 import importlib
 import io
 import json
@@ -234,6 +235,45 @@ def test_search_cap_exits_4(capsys):
     assert rc == 4 and "force" in err
 
 
+@pytest.mark.parametrize("r_range", [(), ("--r-lo", "4", "--r-hi", "6")])
+def test_a_forced_search_over_the_construction_cap_exits_4_at_once(r_range):
+    # --force lifts only the search caps: the winner's code holds m*2**k
+    # pairs.  The search used to form lcm(1..2**19) first, which ran for
+    # minutes, and with r > m it builds no greedy incumbent at all.
+    done = run_bounded("search", "--values", "1..3", "--k", "19", "--force", *r_range,
+                       seconds=5)
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == ("error: construction needs m*2**k = 3*2**19 (value, key) "
+                           "states, above the cap of 1000000\n")
+
+
+def test_each_csv_reads_back_as_the_fields_the_cli_joined(capsys, tmp_path):
+    # The CLI joins fields with commas and quotes none, since no field holds
+    # a comma, a quote or a line break; a CSV reader must see the same fields.
+    system = _write_system(tmp_path)
+    code = tmp_path / "code.json"
+    source = ("--values=1e-5,2.5e20,3,-7", "--pmf", "1/8,1/8,1/4,1/2")
+    for argv in (
+        ("analyze", "--code", str(code), *source),
+        ("compose", "--config", str(system), "--exact"),
+        ("simulate", "--code", str(code), *source, "--trials", "100"),
+        ("simulate", "--system", str(system), "--trials", "100"),
+        ("sweep", *source, "--k", "0..2", "--alg", "greedy,identity", "--seeds", "1,2"),
+    ):
+        args = build_parser().parse_args(argv)
+        header, rows = args.func(args)
+        rc, out, _ = run(capsys, *argv)
+        assert rc == 0
+        assert list(csv.reader(io.StringIO(out, newline=""))) == [header, *rows]
+        assert out.count("\r\n") == len(rows) + 1
+    # The sweep's identity rows, one per seed, report k = 0.
+    assert [row[2:5] for row in rows] == [
+        ["0", "greedy", "1"], ["0", "greedy", "2"], ["0", "identity", "1"],
+        ["0", "identity", "2"], ["1", "greedy", "1"], ["1", "greedy", "2"],
+        ["2", "greedy", "1"], ["2", "greedy", "2"],
+    ]
+
+
 def test_sweep_grid(capsys, tmp_path):
     out = tmp_path / "sweep.csv"
     args = ("sweep", "--values", "1..8", "--k", "0..2",
@@ -446,14 +486,38 @@ def test_each_subcommand_runs_alone_in_a_fresh_interpreter(tmp_path, command):
     # with a NameError (exit 1) in a fresh run only: in process, earlier
     # tests have loaded every layer.  No subcommand loads numpy, nor
     # dataclasses and the inspect it imports: the value types are
-    # model.frozen classes.
+    # model.frozen classes.  Nor csv: main joins the report fields itself.
     _write_system(tmp_path)
     argv = _ONE_RUN[command].format(tmp=tmp_path).split()
     rc, out, loaded = run_fresh(*argv)
     assert (rc, out.decode()) == main_quiet(argv)[:2]
     assert rc == 0 and out
     assert HEAVY & loaded == set()
-    assert {"dataclasses", "inspect"} & loaded == set()
+    assert {"dataclasses", "inspect", "csv"} & loaded == set()
+
+
+@pytest.mark.parametrize("argv, want", [
+    ("search --values=1,2 --k 1 --exact", 0),
+    ("sweep --values 1..4 --k 0..1 --alg greedy,identity", 0),
+    ("search --values 1..9 --k 1", 4),
+])
+def test_runpy_runs_the_cli_as_python_m_does(argv, want):
+    # runpy.run_module, as cProfile calls it, runs the module's code in a
+    # fresh namespace and leaves sys.modules["__main__"] the runner's own:
+    # the handlers must find their library names all the same.
+    runners = (["-m", "distsec.cli"],
+               ["-c", "import runpy; runpy.run_module('distsec.cli', run_name='__main__')"])
+    as_main, run_module = (
+        subprocess.run(
+            [sys.executable, *runner, *argv.split()], capture_output=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        for runner in runners
+    )
+    assert (run_module.returncode, run_module.stdout, run_module.stderr) == (
+        as_main.returncode, as_main.stdout, as_main.stderr)
+    assert as_main.returncode == want
+    assert as_main.stdout if want == 0 else as_main.stderr.startswith(b"error: ")
 
 
 _POOLED = """
@@ -1049,6 +1113,8 @@ MALFORMED = [
      "--values and --pmf go with --code, not --system"),
     ("sweep --values 1..4 --k 5..1 --alg greedy", 2, "argument --k: empty range '5..1'"),
     ("sweep --values 1..4 --k 1 --alg sneaky", 2, "unknown algorithm 'sneaky'"),
+    ("sweep --values 1,2,3 --k 0..1 --alg ,", 2, "empty algorithm list"),
+    ("sweep --values 1,2,3 --k 0..1 --alg=\t", 2, "empty algorithm list"),
     ("sweep --values 1..4 --k=-1 --alg greedy", 2, "argument --k: key bit counts must be >= 0"),
     ("sweep --values 1..4 --k 1,x --alg greedy", 2, "argument --k: bad integer list '1,x'"),
     ("sweep --values 1..4 --k 1 --alg greedy --seeds -3", 2,
