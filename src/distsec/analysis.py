@@ -25,23 +25,7 @@ from fractions import Fraction
 from functools import cached_property, partial
 from itertools import compress
 
-from .model import KeyedCode, Scalar, SourceAlphabet, frozen, integer_view, is_exact
-
-
-def _centre_exact(table, alphabet) -> tuple[tuple, int, list[int], int, int, int]:
-    """The pmf and a payoff table centred on its mean, in integers.
-
-    With the pmf's numerators b_i over their sum P (``alphabet.weights``)
-    and the table over its common denominator D (numerators A_i),
-    S = sum_i b_i A_i and the centred numerators C_i = P A_i - S put
-    t_i - mean over PD.  Returns b, P, C, PD, S and V = sum_i b_i C_i^2:
-    the mean is S / PD and the variance V / (P (PD)^2).
-    """
-    b, p = alphabet.weights
-    a, d = integer_view(table)
-    s = sum(x * y for x, y in zip(b, a))
-    c = [p * y - s for y in a]
-    return b, p, c, p * d, s, sum(x * y * y for x, y in zip(b, c))
+from .model import KeyedCode, Scalar, SourceAlphabet, _centre_exact, frozen, is_exact
 
 
 def _rounded(exact: bool, bounds) -> Scalar:
@@ -285,8 +269,9 @@ def bound_report(
     """Summarize max/achievable distortion, advantage, and the decay bounds.
 
     The two decay guarantees are checked with slack ``tol`` relative to their
-    own scale (d_max and spread^2) so a float report does not flag
-    rounding noise; on exact input the slack is carried as an exact Fraction.
+    own scale (d_max and spread^2) on a float input, so a float report does
+    not flag rounding noise; on exact input there is no slack, and both
+    flags are equalities.
     """
     mom = _bin_moments(code, alphabet)
     d_max = mom.var if mom.exact else float(mom.var)
@@ -296,7 +281,7 @@ def bound_report(
     if bounds is None:
         bound1_ok = bound2_ok = None
     else:
-        slack = Fraction(tol) if alphabet.exact else tol
+        slack = 0 if mom.exact else tol
         bound1_ok = delta <= bounds[0] + slack * d_max
         bound2_ok = delta <= bounds[1] + slack * spread * spread
     return DistortionReport(

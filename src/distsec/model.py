@@ -11,7 +11,9 @@ Numbers are kept in whatever domain they arrive in: int and Fraction inputs
 stay exact so that security claims can be asserted as equalities, and float
 inputs are reported as floats.  The analysis, the constructions and the
 search all work on the exact numbers floats hold (``integer_view``), so a
-float result is rounded only when it is reported.
+float result is rounded only when it is reported; the analysis's moment pass
+and the search's scores both centre their integers by ``_centre_exact``.
+Every layer's value types are made by ``frozen``, a dataclass stand-in.
 """
 
 from __future__ import annotations
@@ -71,6 +73,22 @@ def integer_view(xs) -> tuple[list[int], int]:
     return [p * (d // q) for p, q in ratios], d
 
 
+def _centre_exact(table, alphabet) -> tuple[tuple, int, list[int], int, int, int]:
+    """The pmf and a payoff table centred on its mean, in integers.
+
+    With the pmf's numerators b_i over their sum P (``alphabet.weights``)
+    and the table over its common denominator D (numerators A_i),
+    S = sum_i b_i A_i and the centred numerators C_i = P A_i - S put
+    t_i - mean over PD.  Returns b, P, C, PD, S and V = sum_i b_i C_i^2:
+    the mean is S / PD and the variance V / (P (PD)^2).
+    """
+    b, p = alphabet.weights
+    a, d = integer_view(table)
+    s = sum(x * y for x, y in zip(b, a))
+    c = [p * y - s for y in a]
+    return b, p, c, p * d, s, sum(x * y * y for x, y in zip(b, c))
+
+
 def frozen(cls):
     """Make ``cls`` an immutable value type over its annotated fields, as
     ``dataclass(frozen=True)`` does, without importing ``dataclasses``: that
@@ -78,36 +96,28 @@ def frozen(cls):
     most of its work.
 
     The fields are the class's own annotations, in order, and a class
-    attribute of a field's name is that field's default.  ``__init__`` takes
-    the fields by position or keyword, then calls ``__post_init__`` if the
-    class has one; ``==``, ``hash`` and ``repr`` read the field values;
-    assigning or deleting an attribute raises AttributeError.  Instances
-    keep a ``__dict__``, so ``cached_property`` and pickling work unchanged.
+    attribute of a field's name is that field's default.  As dataclasses
+    does, ``__init__`` is one ``exec`` of source made from the field names
+    alone, ``def __init__(self, a, b=<default>)``, which fills ``__dict__``
+    and calls ``__post_init__`` if the class has one; so Python binds the
+    arguments, and ``inspect.signature`` reads the fields from it.  ``==``,
+    ``hash`` and ``repr`` read the field values; assigning or deleting an
+    attribute raises AttributeError.  Instances keep a ``__dict__``, so
+    ``cached_property`` and pickling work unchanged.
     """
     names = tuple(cls.__annotations__)
     defaults = {n: cls.__dict__[n] for n in names if n in cls.__dict__}
-    post_init = getattr(cls, "__post_init__", None)
-    call = f"{cls.__qualname__}.__init__()"
     get = operator.attrgetter(*names)
     values = get if len(names) > 1 else lambda self: (get(self),)
 
-    def __init__(self, *args, **kwargs):
-        if len(args) > len(names):
-            raise TypeError(f"{call} takes {len(names) + 1} positional arguments "
-                            f"but {len(args) + 1} were given")
-        given = dict(zip(names, args))
-        for key in kwargs:
-            if key in given:
-                raise TypeError(f"{call} got multiple values for argument {key!r}")
-            if key not in names:
-                raise TypeError(f"{call} got an unexpected keyword argument {key!r}")
-        given.update(kwargs)
-        missing = [n for n in names if n not in given and n not in defaults]
-        if missing:
-            raise TypeError(f"{call} missing required arguments: {missing}")
-        self.__dict__.update({n: given[n] if n in given else defaults[n] for n in names})
-        if post_init is not None:
-            post_init(self)
+    params = ", ".join(f"{n}=_defaults[{n!r}]" if n in defaults else n for n in names)
+    body = f"self.__dict__.update({', '.join(f'{n}={n}' for n in names)})"
+    if hasattr(cls, "__post_init__"):
+        body += "; self.__post_init__()"
+    scope = {"__name__": cls.__module__, "_defaults": defaults}
+    exec(f"def __init__(self, {params}):\n    {body}\n", scope)
+    __init__ = scope["__init__"]
+    __init__.__annotations__ = cls.__annotations__ | {"return": None}
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -131,24 +141,7 @@ def frozen(cls):
         method.__qualname__ = f"{cls.__qualname__}.{method.__name__}"
         setattr(cls, method.__name__, method)
     cls.__match_args__ = names
-    cls.__signature__ = _Signature()
     return cls
-
-
-class _Signature:
-    """What ``inspect.signature`` reports for a ``frozen`` class: its fields
-    as parameters, built when asked for, so that no class loads ``inspect``."""
-
-    def __get__(self, instance, owner):
-        import inspect
-
-        Parameter = inspect.Parameter
-        return inspect.Signature(
-            [Parameter(n, Parameter.POSITIONAL_OR_KEYWORD, annotation=a,
-                       default=owner.__dict__.get(n, Parameter.empty))
-             for n, a in owner.__annotations__.items()],
-            return_annotation=None,
-        )
 
 
 @frozen

@@ -287,21 +287,30 @@ def joint_distortion(system: JointSystem, tol: float = 1e-9) -> DistortionReport
 def check_sufficiency(system: JointSystem, tol: float = 1e-9) -> bool:
     """True when every component table is perfectly secured by its code.
 
-    The check is per component: term l's factor for source i must have equal
-    posterior means under code i (constant factors pass trivially).  When it
-    holds, the joint advantage computed from the same per-source moments
-    must vanish: within ``tol`` scaled by max(1, |d_max|), a limit of 0 on
-    an exact input.  A larger value would contradict the factorization
-    argument and raises RuntimeError.
+    The check is per component: term l's factor for source i must have
+    every posterior mean within its limit e_il of its mean nu_il (constant
+    factors pass trivially), a limit of 0 on an exact input.  When it holds,
+    E[f | G] is within sum_l (prod_i (|nu_il| + e_il) - prod_i |nu_il|) of
+    E[f], so the joint advantage var(E[f | G]) is at most the square of that
+    sum: 0 on an exact input.  A larger advantage would contradict the
+    factorization argument and raises RuntimeError.
     """
     comp = _compose(system)
-    ok = all(mom.secure(tol) for row in comp.moments for mom in row)
-    if ok and abs(comp.delta) > _limit(comp.exact, tol, comp.d_max):
+    if not all(mom.secure(tol) for row in comp.moments for mom in row):
+        return False
+    reach = sum(
+        math.prod(abs(mom.mean) + _limit(mom.exact, tol, mom.mean) for mom in row)
+        - math.prod(abs(mom.mean) for mom in row)
+        for row in comp.moments
+    )
+    # On floats delta is float() of the exact advantage, so one ulp below it
+    # is below the advantage.
+    if comp.delta - (0 if comp.exact else math.ulp(comp.delta)) > reach**2:
         raise RuntimeError(
             "all components secure but joint advantage is "
             f"{comp.delta}; factorization invariant violated"
         )
-    return ok
+    return True
 
 
 @frozen

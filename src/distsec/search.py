@@ -50,7 +50,7 @@ from math import lcm
 
 from .caps import MAX_K, MAX_M, MAX_UNPRUNED_COPIES, CapExceededError, check_construction
 from .encoders import Binning, complete_key_assignment, greedy_code
-from .model import KeyedCode, Scalar, SourceAlphabet, frozen, integer_view
+from .model import KeyedCode, Scalar, SourceAlphabet, _centre_exact, frozen
 
 
 @frozen
@@ -166,13 +166,11 @@ def brute_force_optimal(
     r_lo = max(r_lo, m)
     check_construction(m, k)
 
-    # Ranked on values centred on their mean, value i being values[i] / denom:
+    # Ranked on values centred on their mean, value i being values[i] / denom
+    # (the moment kernel's C_i over PD, with P = m under the uniform pmf):
     # they total 0, so for a complete binning (counts total m 2**k) the sum
     # of S_j^2 / n_j over centred bin sums is the advantage times m 2**k.
-    values, d = integer_view(alphabet.values)
-    total = sum(values)
-    values = [m * v - total for v in values]
-    denom = m * d
+    _, _, values, denom, _, _ = _centre_exact(alphabet.values, alphabet)
     scale = lcm(*range(1, cap + 1))
 
     best = None  # (score, bins); only a strictly lower score replaces it

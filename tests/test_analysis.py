@@ -403,6 +403,22 @@ def test_bound_report_identity_satisfies_trivial_bounds():
     assert not rep.perfectly_secure
 
 
+# A k=1 code whose advantage lies a hair above d_max / 2: about 1e-11 of d_max,
+# inside the float slack of 1e-9 but not an equality.
+NEAR_BOUND_CODE = KeyedCode(m=3, k=1, r=3, assignment=((0, 1, 2), (1, 0, 2)))
+NEAR_BOUND_VALUES = ("11", "9", "8.2679491924")
+
+
+def test_exact_bound_flags_are_equalities():
+    exact = make_alphabet([Fraction(v) for v in NEAR_BOUND_VALUES])
+    rep = bound_report(NEAR_BOUND_CODE, exact)
+    assert rep.d_max / 2 < rep.delta < rep.d_max / 2 * (1 + Fraction(1, 10**10))
+    assert rep.bound1_ok is False and rep.bound2_ok is True
+    # The float twin keeps its slack, so rounding noise is not flagged.
+    floats = make_alphabet([float(v) for v in NEAR_BOUND_VALUES])
+    assert bound_report(NEAR_BOUND_CODE, floats).bound1_ok is True
+
+
 def test_bound_report_nonuniform_has_no_bound_claims():
     skewed = make_alphabet([1, 2], [Fraction(2, 3), Fraction(1, 3)])
     rep = bound_report(identity_code(2), skewed)

@@ -139,6 +139,21 @@ def test_analyze_row_matches_library(capsys, tmp_path):
     assert row[10:13] == ["true", "true", "true"]
 
 
+def test_an_exact_row_flags_an_advantage_a_hair_over_its_bound(capsys, tmp_path):
+    code_path = tmp_path / "code.json"
+    code_path.write_text('{"m":3,"k":1,"r":3,"assignment":[[0,1,2],[1,0,2]]}')
+    argv = ["analyze", "--code", str(code_path), "--values", "11,9,8.2679491924"]
+    rows = {}
+    for flags in ([], ["--exact"]):
+        rc, out, _ = run(capsys, *argv, *flags)
+        assert rc == 0
+        _, rows[bool(flags)] = csv_rows(out)
+    # On both paths delta (0.6666666666906...) is above bound1 (0.6666666666786...).
+    assert all(float(row[7]) > float(row[8]) for row in rows.values())
+    assert rows[True][10:12] == ["false", "true"]
+    assert rows[False][10:12] == ["true", "true"]
+
+
 def test_analyze_nonuniform_marks_bounds_na(capsys, tmp_path):
     code_path = tmp_path / "code.json"
     code_path.write_text(json.dumps(code_to_dict(greedy_code(QUAD, 1))))

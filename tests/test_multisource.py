@@ -180,6 +180,28 @@ def test_float_sum_over_large_offsets_matches_exact():
     assert abs(sim.empirical_dach - sim.analytic_dach) <= 4 * sim.stderr
 
 
+def test_sufficiency_holds_on_components_secure_within_their_limits():
+    # Each value table differs from its mean by less than the float limit,
+    # 1e-9 of 1e8, so every component reads secure although the identity
+    # code reveals it: the joint advantage is then var(f), which the
+    # component rule bounds by its reach, not by a limit linear in tol.
+    offset = make_alphabet([1e8, 1e8 + 0.01, 1e8 + 0.02, 1e8 + 0.03])
+    reveal = identity_code(4)
+    for function in (sum_function([offset.values]),
+                     product_function([offset.values, offset.values])):
+        n = function.n
+        system = JointSystem((offset,) * n, (reveal,) * n, function)
+        assert check_sufficiency(system)
+        rep = joint_distortion(system)
+        assert rep.delta == rep.d_max > 0
+    # Posterior means at the limit itself: the exact advantage equals the
+    # bound, and its float rounds up past it.
+    edge = make_alphabet([7e-10, -7e-10])
+    system = JointSystem((edge,), (identity_code(2),), sum_function([edge.values]))
+    assert joint_distortion(system).delta > Fraction(7e-10) ** 2
+    assert check_sufficiency(system, tol=7e-10)
+
+
 def test_unsecured_component_fails_sufficiency():
     system = _two_source_system(
         sum_function([VALS, VALS]), code0=identity_code(4)
